@@ -146,20 +146,20 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
         sessions = generate_sessions(net, cfg.group_size, cfg.session_count, cfg.seed)
 
     jobs = [(sid, ms, mode) for sid, ms in enumerate(sessions) for mode in cfg.modes]
-    results: dict[tuple[int, str], tuple[SolveReport, hierarchy.LightStructureSet | None, float]] = {}
+    threads = max(int(os.environ.get("LUMHARCH_THREADS", "1") or "1"), 1)
 
-    threads = int(os.environ.get("LUMHARCH_THREADS", "1") or "1")
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_solve_one, net, ms, mode, cfg.node_limit): (sid, mode.value)
-                for sid, ms, mode in jobs
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+    def solve_job(job: tuple[int, MulticastSession, Mode]):
+        _, ms, mode = job
+        return _solve_one(net, ms, mode, cfg.node_limit)
+
+    if threads == 1:
+        # Solve in the caller: a pool would load the thread-pool module and
+        # raise peak RSS for nothing.
+        outcomes = map(solve_job, jobs)
     else:
-        for sid, ms, mode in jobs:
-            results[(sid, mode.value)] = _solve_one(net, ms, mode, cfg.node_limit)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = pool.map(solve_job, jobs)  # submits every job at once
+    results = {(sid, mode.value): out for (sid, _, mode), out in zip(jobs, outcomes)}
 
     lines = [CSV_HEADER]
     metrics = MetricsRow(group_size=cfg.group_size)

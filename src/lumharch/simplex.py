@@ -236,10 +236,7 @@ def solve_lp(
     if outcome == "unbounded":
         return LpSolution(status="unbounded", value=-np.inf, x=None, iterations=iterations)
 
-    x_full = np.zeros(ncols)
-    x_full[:] = np.where(status == AT_UPPER, up_full, lo_full)
-    x_full[~np.isfinite(x_full)] = 0.0
-    x_full[basis] = beta
+    x_full = current_x(ncols)
     value = float(phase2_cost @ x_full)
     return LpSolution(
         status="optimal", value=value, x=x_full[: form.n_struct].copy(), iterations=iterations

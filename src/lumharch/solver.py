@@ -38,17 +38,11 @@ class SolveStatus(enum.Enum):
     LIMIT_REACHED = "LimitReached"
 
 
-class BranchRule(enum.Enum):
-    MOST_FRACTIONAL = "most_fractional"
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     node_limit: int = 1_000_000
     time_limit_ms: int | None = None
-    branch_rule: BranchRule = BranchRule.MOST_FRACTIONAL
     verbosity: int = 0
-    greedy_incumbent: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit < 1:
@@ -156,25 +150,16 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
         if not placed:
             return None
 
-    structures = [
-        (lam, tuple(links)) for lam, links in enumerate(per_wave) if links
-    ]
-    flows = None
-    if model.connectivity:
-        flows = service_flow(structures, ms.source, ms.destinations, len(ms.destinations))
-        if flows is None:
-            return None
     values = [0] * len(model.vars)
-    used = {lam for lam, _ in structures}
-    link_sets = {lam: set(links) for lam, links in structures}
-    for v in model.vars:
-        if v.kind is VarKind.LIGHT and (v.tail, v.head) in link_sets.get(v.wavelength, ()):
-            values[v.index] = 1
-        elif v.kind is VarKind.WAVE and v.wavelength in used:
-            values[v.index] = 1
-        elif v.kind is VarKind.FLOW and flows is not None:
-            values[v.index] = flows.get((v.tail, v.head, v.wavelength), 0)
-    a = Assignment(values=tuple(values))
+    for lam, links in enumerate(per_wave):
+        if links:
+            values[model.wave_index[lam]] = 1
+            for u, v in links:
+                values[model.light_index[(u, v, lam)]] = 1
+    try:
+        a = integralize_flows(model, Assignment(values=tuple(values)))
+    except FlowIntegralizationError:
+        return None
     if not check_feasible(model, a).ok:
         return None
     return a
@@ -185,17 +170,10 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     opts = opts or SolveOptions()
     form = _standard_form(model)
     n = len(model.vars)
-    base_lower = np.array([float(v.lower) for v in model.vars])
-    base_upper = np.array([float(v.upper) for v in model.vars])
     branchable = [v.index for v in model.vars if v.kind in (VarKind.LIGHT, VarKind.WAVE)]
 
-    incumbent: Assignment | None = None
-    incumbent_obj: int | None = None
-    if opts.greedy_incumbent:
-        seed = _greedy_incumbent(model)
-        if seed is not None:
-            incumbent = seed
-            incumbent_obj = model.objective_value(seed)
+    incumbent = _greedy_incumbent(model)
+    incumbent_obj = None if incumbent is None else model.objective_value(incumbent)
 
     nodes_explored = 0
     lp_iterations = 0
@@ -224,8 +202,8 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             stopped_early = True
             break
 
-        lower = base_lower.copy()
-        upper = base_upper.copy()
+        lower = form.lower[:n].copy()
+        upper = form.upper[:n].copy()
         for idx, (lo, up) in patch.items():
             lower[idx] = lo
             upper[idx] = up

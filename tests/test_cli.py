@@ -126,9 +126,10 @@ def test_experiment_threads_match_sequential(monkeypatch):
     cfg = ExperimentConfig(topology="fig3", group_size=2, session_count=3, seed=3)
     monkeypatch.delenv("LUMHARCH_THREADS", raising=False)
     _, sequential = run_experiment(cfg)
-    monkeypatch.setenv("LUMHARCH_THREADS", "4")
-    _, threaded = run_experiment(cfg)
-    assert sequential == threaded
+    for threads in ("4", "0"):
+        monkeypatch.setenv("LUMHARCH_THREADS", threads)
+        _, threaded = run_experiment(cfg)
+        assert sequential == threaded
 
 
 # --- command surface ---------------------------------------------------------

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from lumharch import (
     Assignment,
@@ -20,7 +22,9 @@ from lumharch import (
     solve_session,
     validate,
 )
+from lumharch import solver
 from lumharch.hierarchy import cps_nodes
+from lumharch.model import Relation
 from tests.conftest import FIG3_LH_EXHIBIT_LINKS
 
 STAR_W1 = """
@@ -120,18 +124,20 @@ def test_determinism_including_counters(fig3, fig3_session):
     assert runs_lt[0] == runs_lt[1]
 
 
-def test_greedy_incumbent_is_correctness_neutral(fig3, fig3_session):
+def test_greedy_incumbent_is_feasible_upper_bound(fig3, fig3_session):
+    # The seed only prunes: it must be feasible and never beat the optimum.
+    # On fig3 LH it is strictly worse (29 vs 22), so the check has teeth.
     for mode in (Mode.LH, Mode.LT):
         model = build_model(fig3, fig3_session, mode, True)
-        with_seed = solve(model, SolveOptions(greedy_incumbent=True))
-        without = solve(model, SolveOptions(greedy_incumbent=False))
-        assert with_seed.objective == without.objective
-        assert with_seed.total_cost == without.total_cost
+        seed = solver._greedy_incumbent(model)
+        assert seed is not None
+        assert check_feasible(model, seed).ok
+        assert model.objective_value(seed) >= solve(model).objective
 
 
 def test_node_limit_reached(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
-    rep = solve(model, SolveOptions(node_limit=1, greedy_incumbent=True))
+    rep = solve(model, SolveOptions(node_limit=1))
     assert rep.status is SolveStatus.LIMIT_REACHED
     # the greedy incumbent still rides along
     assert rep.objective is not None
@@ -229,32 +235,33 @@ def test_fig3_runtime_budget(fig3, fig3_session):
     assert time.perf_counter() - start < 5.0
 
 
-def _glpk_objective(model):
-    cp = pytest.importorskip("cvxpy")
-    if "GLPK_MI" not in cp.installed_solvers():
-        pytest.skip("GLPK_MI not available")
-    import numpy as np
-
-    from lumharch.model import Relation
-
-    x = cp.Variable(len(model.vars), integer=True)
-    cons = [
-        x >= np.array([v.lower for v in model.vars]),
-        x <= np.array([v.upper for v in model.vars]),
-    ]
-    for c in model.constraints:
-        expr = sum(coef * x[i] for i, coef in c.terms)
-        if c.relation is Relation.LE:
-            cons.append(expr <= c.rhs)
-        elif c.relation is Relation.GE:
-            cons.append(expr >= c.rhs)
-        else:
-            cons.append(expr == c.rhs)
-    prob = cp.Problem(cp.Minimize(sum(coef * x[i] for i, coef in model.objective)), cons)
-    prob.solve(solver=cp.GLPK_MI)
-    if prob.status in ("infeasible", "infeasible_inaccurate"):
+def _highs_objective(model):
+    """Optimal objective from HiGHS (scipy.optimize.milp), or None if infeasible."""
+    n = len(model.vars)
+    c = np.zeros(n)
+    for i, coef in model.objective:
+        c[i] = coef
+    a = np.zeros((len(model.constraints), n))
+    lb = np.full(len(model.constraints), -np.inf)
+    ub = np.full(len(model.constraints), np.inf)
+    for r, con in enumerate(model.constraints):
+        for i, coef in con.terms:
+            a[r, i] += coef
+        if con.relation is not Relation.GE:
+            ub[r] = con.rhs
+        if con.relation is not Relation.LE:
+            lb[r] = con.rhs
+    res = milp(
+        c,
+        constraints=LinearConstraint(a, lb, ub),
+        integrality=np.ones(n),
+        bounds=Bounds([v.lower for v in model.vars], [v.upper for v in model.vars]),
+        options={"mip_rel_gap": 0},
+    )
+    if res.status == 2:
         return None
-    return round(prob.value)
+    assert res.status == 0, res.message
+    return round(res.fun)
 
 
 @pytest.mark.parametrize("mode", [Mode.LH, Mode.LT])
@@ -262,6 +269,6 @@ def test_matches_external_milp_solver(fig3, fig3_session, fig5, fig5_session, mo
     for net, ms in ((fig3, fig3_session), (fig5, fig5_session)):
         model = build_model(net, ms, mode, True)
         rep = solve(model)
-        external = _glpk_objective(model)
+        external = _highs_objective(model)
         mine = rep.objective if rep.status is SolveStatus.OPTIMAL else None
         assert mine == external
