@@ -1,15 +1,34 @@
-"""Bounded-variable primal simplex over dense numpy tableaus.
+"""Bounded-variable simplex over dense numpy tableaus.
 
 Solves  min c.x  s.t.  rows of (terms, relation, rhs),  l <= x <= u  with
-finite bounds on all structural variables.  Two phases: artificial
-variables absorb whatever the slack basis cannot, then the true objective
-is optimized with artificials pinned to zero.
+finite bounds on all structural variables.
 
-Pivoting is deterministic: Dantzig entering choice with lowest-index tie
-breaks, lowest-variable-index leaving among ratio ties, and a switch to
-Bland's rule after a long run of degenerate steps so cycling cannot
-occur.  Feasibility tolerance is 1e-9; failures raise, they never return
-a wrong answer.
+Cold solves use a two-phase primal simplex: artificial variables absorb
+whatever the slack basis cannot, then the true objective is optimized with
+artificials pinned to zero.  Pivoting is deterministic: Dantzig entering
+choice with lowest-index tie breaks, lowest-variable-index leaving among
+ratio ties, and a switch to Bland's rule after a long run of degenerate
+steps so cycling cannot occur.  Feasibility tolerance is 1e-9.
+
+Every optimal solution carries its final :class:`Basis`.  A branch-and-bound
+child differs from its parent only in a structural bound, so the parent's
+basis stays dual feasible and ``solve_lp(..., warm=parent.basis)``
+re-optimizes with a bounded dual simplex instead.  Its tableau is rebuilt
+from the original ``A`` by a Gauss-Jordan crash from the slack basis (a
+LAPACK factorization's work buffers would raise peak memory); reduced
+costs are then updated per pivot.
+
+Every pivot, cold or warm, touches only the rows where the pivot column is
+nonzero and the columns where the pivot row is nonzero: the rank-1 update
+would change every other entry by exactly zero.
+
+The cold path is the reference.  A warm attempt falls back to it, and adds
+its pivots to the returned ``iterations``, on a singular crash or a pivot
+below 1e-11, when the dual ratio test finds no entering column (only the
+cold path may report "infeasible"), at the iteration cap, when the final
+point misses ``A x = b`` by more than 1e-7 or leaves its bounds, and when a
+final reduced cost has the wrong sign.  Cold failures raise
+:class:`SimplexError`; they never return a wrong answer.
 """
 
 from __future__ import annotations
@@ -20,6 +39,8 @@ import numpy as np
 
 FEAS_TOL = 1e-9
 RC_TOL = 1e-9
+PIVOT_TOL = 1e-11
+WARM_TOL = 1e-7
 DEGENERATE_LIMIT = 1000
 MAX_ITER = 200_000
 
@@ -31,12 +52,21 @@ class SimplexError(RuntimeError):
     """Numerical breakdown or iteration explosion; the caller must abort."""
 
 
+@dataclass(frozen=True)
+class Basis:
+    """An optimal basis over standard-form columns (structurals, then slacks)."""
+
+    columns: np.ndarray  # the basic column of each row
+    at_upper: np.ndarray  # per column: nonbasic at its upper bound
+
+
 @dataclass
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float
     x: np.ndarray | None
     iterations: int
+    basis: Basis | None = None  # set when status is "optimal"
 
 
 @dataclass
@@ -88,13 +118,27 @@ def build_standard_form(
     return StandardForm(a=a, b=b, c=c, lower=lo, upper=up, n_struct=n_struct)
 
 
+def _pivot(tableau: np.ndarray, leave: int, j: int) -> None:
+    """Make column j the unit column of row ``leave`` in place."""
+    pivot = tableau[leave, j]
+    if abs(pivot) < PIVOT_TOL:
+        raise SimplexError("pivot element vanished")
+    prow = tableau[leave] / pivot
+    tableau[leave] = prow
+    rows = np.flatnonzero(tableau[:, j])
+    rows = rows[rows != leave]
+    cols = np.flatnonzero(prow)
+    tableau[np.ix_(rows, cols)] -= np.outer(tableau[rows, j], prow[cols])
+
+
 def solve_lp(
     form: StandardForm,
     lower_override: np.ndarray | None = None,
     upper_override: np.ndarray | None = None,
+    warm: Basis | None = None,
 ) -> LpSolution:
-    """Two-phase bounded simplex; overrides replace structural bounds."""
-    m, total = form.a.shape
+    """Optimize under the overridden structural bounds; ``warm`` is a basis
+    that is optimal for the same form under bounds these only tighten."""
     lo = form.lower.copy()
     up = form.upper.copy()
     if lower_override is not None:
@@ -103,7 +147,18 @@ def solve_lp(
         up[: form.n_struct] = upper_override
     if np.any(lo > up + FEAS_TOL):
         return LpSolution(status="infeasible", value=np.inf, x=None, iterations=0)
+    if warm is None:
+        return _two_phase(form, lo, up)
+    sol, pivots = _dual_simplex(form, lo, up, warm)
+    if sol is None:
+        sol = _two_phase(form, lo, up)
+        sol.iterations += pivots
+    return sol
 
+
+def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution:
+    """Cold two-phase bounded primal simplex from the slack basis."""
+    m, total = form.a.shape
     # All columns start nonbasic at their (finite) lower bound; the slack
     # absorbs each row's residual where its bounds allow, otherwise an
     # artificial column takes over.
@@ -142,7 +197,7 @@ def solve_lp(
     iterations = 0
 
     def run_phase(cost: np.ndarray, banned: np.ndarray) -> str:
-        nonlocal iterations, beta, tableau
+        nonlocal iterations, beta
         degenerate_run = 0
         use_bland = False
         while True:
@@ -203,13 +258,7 @@ def solve_lp(
             beta = beta - d * t_step
             beta[leave] = enter_val
             basis[leave] = j
-            pivot = tableau[leave, j]
-            if abs(pivot) < 1e-11:
-                raise SimplexError("pivot element vanished")
-            tableau[leave] = tableau[leave] / pivot
-            col = tableau[:, j].copy()
-            col[leave] = 0.0
-            tableau -= np.outer(col, tableau[leave])
+            _pivot(tableau, leave, j)
 
     def current_x(cost_len: int) -> np.ndarray:
         x = np.where(status == AT_UPPER, up_full, lo_full).astype(float)
@@ -238,6 +287,120 @@ def solve_lp(
 
     x_full = current_x(ncols)
     value = float(phase2_cost @ x_full)
+    # An artificial still basic (at zero) is +-e_i, the column of row i's
+    # slack up to sign, and that slack cannot be basic too: export it.
+    columns = basis.copy()
+    art = columns >= total
+    columns[art] = form.n_struct + np.asarray(art_rows)[columns[art] - total]
+    at_upper = status[:total] == AT_UPPER
+    at_upper[columns] = False
     return LpSolution(
-        status="optimal", value=value, x=x_full[: form.n_struct].copy(), iterations=iterations
+        status="optimal",
+        value=value,
+        x=x_full[: form.n_struct].copy(),
+        iterations=iterations,
+        basis=Basis(columns=columns, at_upper=at_upper),
     )
+
+
+def _dual_simplex(
+    form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis
+) -> tuple[LpSolution | None, int]:
+    """Bounded dual simplex from ``warm``; returns (None, pivots spent) when
+    the attempt must fall back to the cold path."""
+    m, total = form.a.shape
+    n = form.n_struct
+    slack_sign = form.a[np.arange(m), n + np.arange(m)]
+    tableau = form.a / slack_sign[:, None]
+    basis = np.arange(n, total)
+    in_target = np.zeros(total, dtype=bool)
+    in_target[warm.columns] = True
+    free_row = ~in_target[basis]
+    pivots = 0
+    try:
+        # Crash: pivot each basic structural column into the free row (its
+        # slack leaves the basis) where the column is largest.
+        for j in warm.columns[warm.columns < n]:
+            r = int(np.argmax(np.where(free_row, np.abs(tableau[:, j]), 0.0)))
+            _pivot(tableau, r, j)
+            basis[r] = j
+            free_row[r] = False
+
+        status = np.where(warm.at_upper & np.isfinite(up), AT_UPPER, AT_LOWER).astype(np.int8)
+        nonbasic = np.ones(total, dtype=bool)
+        nonbasic[basis] = False
+        x = np.where(nonbasic & (status == AT_UPPER), up, lo)
+        x[basis] = 0.0
+        # Column n+i of the tableau is B^-1 times row i's slack column.
+        beta = tableau[:, n:] @ (slack_sign * (form.b - form.a @ x))
+        d = form.c - form.c[basis] @ tableau
+        movable = (up - lo) > FEAS_TOL
+        if not _dual_feasible(d, status, movable & nonbasic):
+            return None, pivots
+
+        while True:
+            infeas = np.maximum(lo[basis] - beta, beta - up[basis])
+            r = int(np.argmax(infeas))
+            if infeas[r] <= FEAS_TOL:
+                break
+            if pivots >= total:  # one pivot per column: longer is cycling
+                return None, pivots
+            leaving = int(basis[r])
+            to_upper = beta[r] > up[leaving]
+            alpha = tableau[r].copy()
+            s = alpha if to_upper else -alpha
+            eligible = movable & nonbasic
+            at_lo = status == AT_LOWER
+            cand = np.flatnonzero(eligible & ((at_lo & (s > FEAS_TOL)) | (~at_lo & (s < -FEAS_TOL))))
+            if cand.size == 0:
+                return None, pivots
+            ratios = np.maximum(np.where(at_lo[cand], d[cand], -d[cand]), 0.0) / np.abs(s[cand])
+            tied = cand[ratios <= ratios.min() + FEAS_TOL]
+            q = int(tied[int(np.argmax(np.abs(alpha[tied])))])
+
+            pivots += 1
+            step = (beta[r] - (up[leaving] if to_upper else lo[leaving])) / alpha[q]
+            enter_val = (lo[q] if status[q] == AT_LOWER else up[q]) + step
+            theta = d[q] / alpha[q]
+            beta -= tableau[:, q] * step
+            beta[r] = enter_val
+            d -= theta * alpha
+            d[leaving] = -theta
+            d[q] = 0.0
+            status[leaving] = AT_UPPER if to_upper else AT_LOWER
+            nonbasic[leaving] = True
+            nonbasic[q] = False
+            basis[r] = q
+            _pivot(tableau, r, q)
+    except SimplexError:
+        return None, pivots
+
+    x = np.where(status == AT_UPPER, up, lo)
+    x[basis] = beta
+    if (
+        not np.all(np.isfinite(x))
+        or np.max(np.abs(form.a @ x - form.b), initial=0.0) > WARM_TOL
+        or np.any(x < lo - WARM_TOL)
+        or np.any(x > up + WARM_TOL)
+    ):
+        return None, pivots
+    d = form.c - form.c[basis] @ tableau
+    if not _dual_feasible(d, status, movable & nonbasic):
+        return None, pivots
+    at_upper = nonbasic & (status == AT_UPPER)
+    return (
+        LpSolution(
+            status="optimal",
+            value=float(form.c @ x),
+            x=x[:n].copy(),
+            iterations=pivots,
+            basis=Basis(columns=basis, at_upper=at_upper),
+        ),
+        pivots,
+    )
+
+
+def _dual_feasible(d: np.ndarray, status: np.ndarray, free: np.ndarray) -> bool:
+    """No movable nonbasic column could improve the objective."""
+    at_lo = status == AT_LOWER
+    return not np.any(free & ((at_lo & (d < -WARM_TOL)) | (~at_lo & (d > WARM_TOL))))

@@ -6,6 +6,8 @@ indicators: once those are integral the remaining flow variables form a
 pure network-flow system with integral extreme points, so an integral
 flow is recovered directly instead of being branched on.  Objective
 values at integral points are computed in exact integer arithmetic.
+Each child's LP is warm-started from its parent's optimal basis, which
+is all an open node stores besides its bound patch.
 
 A single solve is single-threaded and deterministic, counters included;
 distinct models may be solved concurrently.
@@ -27,7 +29,7 @@ from . import hierarchy
 from .flow import service_flow
 from .model import Assignment, IlpModel, Mode, VarKind, build_model, check_feasible, extract_structures
 from .network import MulticastSession, Network
-from .simplex import SimplexError, StandardForm, build_standard_form, solve_lp
+from .simplex import Basis, SimplexError, StandardForm, build_standard_form, solve_lp
 
 INT_TOL = 1e-6
 
@@ -183,12 +185,15 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         deadline = time.monotonic() + opts.time_limit_ms / 1000.0
 
     counter = itertools.count()
-    # Heap entries: (parent LP bound, fifo tick, bound patch {index: (lo, up)}).
-    heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = [(-math.inf, next(counter), {})]
+    # Heap entries: (parent LP bound, fifo tick, bound patch {index: (lo, up)},
+    # parent's optimal basis to warm-start from).
+    heap: list[tuple[float, int, dict[int, tuple[float, float]], Basis | None]] = [
+        (-math.inf, next(counter), {}, None)
+    ]
     stopped_early = False
 
     while heap:
-        bound, _, patch = heapq.heappop(heap)
+        bound, _, patch, warm = heapq.heappop(heap)
         if (
             incumbent_obj is not None
             and math.isfinite(bound)
@@ -210,7 +215,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
 
         nodes_explored += 1
         try:
-            sol = solve_lp(form, lower_override=lower, upper_override=upper)
+            sol = solve_lp(form, lower_override=lower, upper_override=upper, warm=warm)
         except SimplexError:
             numerical_trouble = True
             continue
@@ -255,8 +260,8 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         one_patch[var] = (1.0, 1.0)
         zero_patch = dict(patch)
         zero_patch[var] = (0.0, 0.0)
-        heapq.heappush(heap, (sol.value, next(counter), one_patch))
-        heapq.heappush(heap, (sol.value, next(counter), zero_patch))
+        heapq.heappush(heap, (sol.value, next(counter), one_patch, sol.basis))
+        heapq.heappush(heap, (sol.value, next(counter), zero_patch, sol.basis))
 
     if stopped_early or numerical_trouble:
         status = SolveStatus.LIMIT_REACHED

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
-from lumharch import Mode, build_model, lp_relax, make_session, solve
+from lumharch import Mode, build_model, lp_relax, make_session, simplex, solve
 from lumharch.network import Network, NodeKind
 from lumharch.simplex import build_standard_form, solve_lp
 
@@ -153,6 +155,92 @@ def test_lower_bound_monotonicity_under_branching(fig3, fig3_session):
         for fixed in (0.0, 1.0):
             lo, up = lower.copy(), upper.copy()
             lo[idx] = up[idx] = fixed
-            child = solve_lp(form, lower_override=lo, upper_override=up)
-            if child.status == "optimal":
-                assert child.value >= root.value - 1e-6
+            for warm in (None, root.basis):
+                child = solve_lp(form, lower_override=lo, upper_override=up, warm=warm)
+                if child.status == "optimal":
+                    assert child.value >= root.value - 1e-6
+
+
+def _record_warm_attempts(monkeypatch):
+    """Record (solution or None, pivots) of every warm attempt."""
+    attempts = []
+    dual = simplex._dual_simplex
+
+    def recorded(*args):
+        result = dual(*args)
+        attempts.append(result)
+        return result
+
+    monkeypatch.setattr(simplex, "_dual_simplex", recorded)
+    return attempts
+
+
+def test_warm_start_matches_cold_on_random_children(monkeypatch):
+    # Each child tightens one bound of its parent's optimum by floor or ceil,
+    # the way branch and bound does; the warm re-solve must agree with a
+    # cold one in status and value.
+    attempts = _record_warm_attempts(monkeypatch)
+    rng = np.random.default_rng(20240611)
+    children = 0
+    for _ in range(120):
+        n, c, lower, upper, rows, *_ = _random_lp(rng)
+        if not rows:
+            continue
+        form = build_standard_form(n, [(j, c[j]) for j in range(n)], rows, lower, upper)
+        parent = solve_lp(form)
+        if parent.status != "optimal":
+            continue
+        for j in range(n):
+            for bound in ("floor", "ceil"):
+                lo, up = lower.copy(), upper.copy()
+                if bound == "floor":
+                    up[j] = math.floor(parent.x[j] + 1e-9)
+                else:
+                    lo[j] = math.ceil(parent.x[j] - 1e-9)
+                cold = solve_lp(form, lo, up)
+                warm = solve_lp(form, lo, up, warm=parent.basis)
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert abs(warm.value - cold.value) <= 1e-6
+                    assert warm.basis is not None
+                children += 1
+    assert children >= 300
+    fallbacks = sum(1 for sol, _ in attempts if sol is None)
+    assert len(attempts) == children and 0 < fallbacks < children // 4
+
+
+def test_warm_start_from_basis_with_equality_slack(monkeypatch):
+    # min -x - 2y  s.t.  x + y = 1.5,  2x + 2y = 3,  0 <= x, y <= 1.  The rows
+    # are dependent, so phase 1 leaves an artificial basic at zero; the
+    # exported basis names row 1's slack (column 3) in its place.
+    attempts = _record_warm_attempts(monkeypatch)
+    rows = [(((0, 1), (1, 1)), "=", 1.5), (((0, 2), (1, 2)), "=", 3.0)]
+    form = build_standard_form(2, [(0, -1), (1, -2)], rows, np.zeros(2), np.ones(2))
+    parent = solve_lp(form)
+    assert parent.status == "optimal" and abs(parent.value + 2.5) < 1e-9
+    assert 3 in parent.basis.columns
+    child = solve_lp(form, np.array([1.0, 0.0]), np.ones(2), warm=parent.basis)
+    assert child.status == "optimal"
+    assert abs(child.value + 2.0) < 1e-9
+    assert np.allclose(child.x, [1.0, 0.5])
+    [(sol, pivots)] = attempts
+    assert sol is child and pivots == child.iterations == 1
+
+
+def test_warm_start_on_infeasible_child_falls_back_to_cold(monkeypatch):
+    # min 3x - 4y  s.t.  -3x + 4y <= 0,  x + 4y = 5,  0 <= x, y <= 3 has its
+    # optimum at (1.25, 0.9375).  With y <= 0 the row forces x = 5 > 3.  The
+    # dual simplex pivots once before its ratio test runs dry; only the cold
+    # path may call the child infeasible, and the abandoned pivot is counted.
+    rows = [(((0, -3), (1, 4)), "<=", 0.0), (((0, 1), (1, 4)), "=", 5.0)]
+    form = build_standard_form(2, [(0, 3), (1, -4)], rows, np.zeros(2), np.full(2, 3.0))
+    parent = solve_lp(form)
+    assert parent.status == "optimal" and np.allclose(parent.x, [1.25, 0.9375])
+    lo, up = np.zeros(2), np.array([3.0, 0.0])
+    cold = solve_lp(form, lo, up)
+    attempts = _record_warm_attempts(monkeypatch)
+    warm = solve_lp(form, lo, up, warm=parent.basis)
+    assert cold.status == warm.status == "infeasible"
+    [(sol, pivots)] = attempts
+    assert sol is None and pivots >= 1
+    assert warm.iterations == cold.iterations + pivots

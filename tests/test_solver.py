@@ -13,6 +13,7 @@ from lumharch import (
     SolveOptions,
     SolveStatus,
     build_model,
+    builtin_topology,
     check_feasible,
     extract_structures,
     integralize_flows,
@@ -23,6 +24,7 @@ from lumharch import (
     validate,
 )
 from lumharch import solver
+from lumharch.cli import generate_sessions
 from lumharch.hierarchy import cps_nodes
 from lumharch.model import Relation
 from tests.conftest import FIG3_LH_EXHIBIT_LINKS
@@ -272,3 +274,24 @@ def test_matches_external_milp_solver(fig3, fig3_session, fig5, fig5_session, mo
         external = _highs_objective(model)
         mine = rep.objective if rep.status is SolveStatus.OPTIMAL else None
         assert mine == external
+
+
+# Seed-2 sessions above the oracle's 8-node limit that need real search
+# (11-51 B&B nodes): NSF |D|=2 sessions 1 and 3, COST239 with MC splitters
+# at nodes 3 and 8, |D|=3, sessions 0 and 1.
+HIGHS_CASES = [("nsf", (), 2, (1, 3)), ("cost239", ("3", "8"), 3, (0, 1))]
+
+
+@pytest.mark.parametrize("mode", [Mode.LH, Mode.LT])
+def test_matches_external_milp_solver_on_backbones(mode):
+    for topology, splitters, size, picks in HIGHS_CASES:
+        net = builtin_topology(topology, splitters=splitters or None)
+        sessions = generate_sessions(net, size, max(picks) + 1, seed=2)
+        for i in picks:
+            model = build_model(net, sessions[i], mode, True)
+            rep = solve(model)
+            assert rep.status is SolveStatus.OPTIMAL
+            external = _highs_objective(model)
+            assert rep.objective == external, (topology, i)
+            # cost first, wavelengths second: objective = (|W| + 1) cost + wavelengths
+            assert divmod(external, net.wavelengths + 1) == (rep.total_cost, rep.wavelength_count)
