@@ -5,7 +5,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from lumharch import Mode, build_model, lp_relax, make_session, simplex, solve
+from lumharch import Mode, build_model, builtin_topology, lp_relax, make_session, simplex, solve
+from lumharch.cli import generate_sessions
 from lumharch.network import Network, NodeKind
 from lumharch.simplex import build_standard_form, solve_lp
 
@@ -38,29 +39,42 @@ def _random_lp(rng):
             b_eq.append(rhs)
     return n, c, lower, upper, rows, a_ub, b_ub, a_eq, b_eq
 
+def _assert_matches_scipy(sols, lp, lower, upper):
+    """Each solution of the ``_random_lp`` under these bounds agrees with
+    HiGHS in status and, when optimal, in value."""
+    _, c, _, _, _, a_ub, b_ub, a_eq, b_eq = lp
+    ref = linprog(
+        c,
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=b_ub or None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=b_eq or None,
+        bounds=list(zip(lower, upper)),
+        method="highs",
+    )
+    ref_status = "optimal" if ref.status == 0 else "infeasible" if ref.status == 2 else "other"
+    for sol in sols:
+        assert sol.status == ref_status, (sol.status, ref_status)
+        if ref_status == "optimal":
+            assert abs(sol.value - ref.fun) <= 1e-6
+
+
+def _random_form(lp):
+    n, c, lower, upper, rows, *_ = lp
+    return build_standard_form(n, [(j, c[j]) for j in range(n)], rows, lower, upper)
+
+
 def test_matches_scipy_on_random_lps():
     rng = np.random.default_rng(987654321)
     checked = 0
     for _ in range(250):
-        n, c, lower, upper, rows, a_ub, b_ub, a_eq, b_eq = _random_lp(rng)
+        lp = _random_lp(rng)
+        _, _, lower, upper, rows, *_ = lp
         if not rows:
             continue
-        form = build_standard_form(n, [(j, c[j]) for j in range(n)], rows, lower, upper)
-        mine = solve_lp(form)
-        ref = linprog(
-            c,
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=b_ub or None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=b_eq or None,
-            bounds=list(zip(lower, upper)),
-            method="highs",
-        )
-        ref_status = "optimal" if ref.status == 0 else "infeasible" if ref.status == 2 else "other"
-        assert mine.status == ref_status, (mine.status, ref_status)
-        if ref_status == "optimal":
-            assert abs(mine.value - ref.fun) <= 1e-6
-            checked += 1
+        mine = solve_lp(_random_form(lp))
+        _assert_matches_scipy([mine], lp, lower, upper)
+        checked += mine.status == "optimal"
     assert checked >= 80
 
 def test_hand_infeasible():
@@ -244,3 +258,54 @@ def test_warm_start_on_infeasible_child_falls_back_to_cold(monkeypatch):
     [(sol, pivots)] = attempts
     assert sol is None and pivots >= 1
     assert warm.iterations == cold.iterations + pivots
+
+
+def test_bland_fallback_matches_scipy(monkeypatch):
+    # Bland's rule is the anti-cycling guard behind the steepest-edge
+    # pricing, but it only takes over after DEGENERATE_LIMIT degenerate steps
+    # in a row, which no small LP reaches.  At 1, the first degenerate step of
+    # a phase hands it the entering choice; cold solves and warm floor/ceil
+    # children must still agree with HiGHS.
+    rng = np.random.default_rng(987654321)
+    lps = [lp for lp in (_random_lp(rng) for _ in range(250)) if lp[4]]
+    steepest = [solve_lp(_random_form(lp)).iterations for lp in lps]
+    monkeypatch.setattr(simplex, "DEGENERATE_LIMIT", 1)
+    changed = children = 0
+    for lp, iterations in zip(lps, steepest):
+        n, _, lower, upper, *_ = lp
+        form = _random_form(lp)
+        parent = solve_lp(form)
+        _assert_matches_scipy([parent], lp, lower, upper)
+        changed += parent.iterations != iterations
+        if parent.status != "optimal":
+            continue
+        for j in range(n):
+            for bound in ("floor", "ceil"):
+                lo, up = lower.copy(), upper.copy()
+                if bound == "floor":
+                    up[j] = math.floor(parent.x[j] + 1e-9)
+                else:
+                    lo[j] = math.ceil(parent.x[j] - 1e-9)
+                sols = [solve_lp(form, lo, up, warm=warm) for warm in (None, parent.basis)]
+                _assert_matches_scipy(sols, lp, lo, up)
+                children += 1
+    # Bland's rule really ran: it changed the pivot count of some solves.
+    assert changed >= 10
+    assert children >= 300
+
+
+def test_root_pivots_on_nsf_deep_session():
+    # NSF seed-1 |D|=3 session 3 is degenerate enough that Dantzig pricing
+    # takes 372 (LH) and 400 (LT) root pivots; steepest edge takes about 125.
+    from lumharch.solver import _standard_form
+
+    net = builtin_topology("nsf")
+    session = generate_sessions(net, 3, 4, seed=1)[3]
+    for mode in (Mode.LH, Mode.LT):
+        form = _standard_form(build_model(net, session, mode, True))
+        root = solve_lp(form)
+        ref = linprog(form.c, A_eq=form.a, b_eq=form.b, bounds=list(zip(form.lower, form.upper)), method="highs")
+        assert root.status == "optimal" and ref.status == 0
+        assert abs(root.value - ref.fun) <= 1e-6
+        assert abs(root.value - 50 / 3) <= 1e-6
+        assert root.iterations <= 200, root.iterations
