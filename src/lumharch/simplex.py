@@ -1,4 +1,4 @@
-"""Bounded-variable simplex over dense numpy tableaus.
+"""Bounded-variable simplex: dense tableaus cold, a factorized basis warm.
 
 Solves  min c.x  s.t.  rows of (terms, relation, rhs),  l <= x <= u  with
 finite bounds on all structural variables.
@@ -18,22 +18,35 @@ Feasibility tolerance is 1e-9.
 Every optimal solution carries its final :class:`Basis`.  A branch-and-bound
 child differs from its parent only in a structural bound, so the parent's
 basis stays dual feasible and ``solve_lp(..., warm=parent.basis)``
-re-optimizes with a bounded dual simplex instead.  Its tableau is rebuilt
-from the original ``A`` by a Gauss-Jordan crash from the slack basis (a
-LAPACK factorization's work buffers would raise peak memory); reduced
-costs are then updated per pivot.
+re-optimizes with a bounded dual simplex instead, on a factorized basis
+and without a tableau.  A basic slack's column is a signed unit column, so
+only the k x k block of basic structural columns over the rows whose slack
+is nonbasic is inverted (k = 45-115 against m = 345-427 rows on the
+children of the benchmark's deep NSF and COST239 solves).  ``B^-1`` is
+applied in block form through that inverse, and each dual pivot appends
+one eta vector (product form).  Row r of ``B^-1 A`` is ``e_r B^-1 A`` over
+the nonzero entries of ``e_r B^-1``, and the entering column is
+``B^-1 a_q``.  The block is inverted by Gauss-Jordan exchanges in
+elementwise numpy, not LAPACK: the first LAPACK call of a process pages in
+about 0.5 MB, which showed as +0.5 MB of peak memory on the deep NSF
+benchmark workload.  Inverting the block is about 30 % of a warm child's
+time (2.1 of 7.2 ms a child, replaying those children on a 2-core host),
+and a child peaks at about 1.1 MB of live arrays, where rebuilding its
+m x ncols tableau would peak at 3.0 MB.
 
-Every pivot, cold or warm, touches only the rows where the pivot column is
-nonzero and the columns where the pivot row is nonzero: the rank-1 update
-would change every other entry by exactly zero.
+Cold pivots touch only the rows where the pivot column is nonzero and the
+columns where the pivot row is nonzero: the rank-1 update would change
+every other entry by exactly zero.
 
 The cold path is the reference.  A warm attempt falls back to it, and adds
-its pivots to the returned ``iterations``, on a singular crash or a pivot
-below 1e-11, when the dual ratio test finds no entering column (only the
-cold path may report "infeasible"), at the iteration cap, when the final
-point misses ``A x = b`` by more than 1e-7 or leaves its bounds, and when a
-final reduced cost has the wrong sign.  Cold failures raise
-:class:`SimplexError`; they never return a wrong answer.
+its pivots to the returned ``iterations``, when the structural block is
+singular (a Gauss-Jordan pivot below 1e-11) or its inverse is not finite,
+on an entering pivot ``(B^-1 a_q)_r`` below 1e-11, when the dual ratio
+test finds no entering column (only the cold path may report
+"infeasible"), at the iteration cap, when the final point misses
+``A x = b`` by more than 1e-7 or leaves its bounds, and when a final
+reduced cost, recomputed from a fresh ``btran``, has the wrong sign.  Cold
+failures raise :class:`SimplexError`; they never return a wrong answer.
 """
 
 from __future__ import annotations
@@ -316,6 +329,97 @@ def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution
     )
 
 
+def _invert(block: np.ndarray) -> np.ndarray:
+    """Inverse of a square block by Gauss-Jordan exchanges with partial
+    pivoting, in elementwise numpy (see the module docstring for why not
+    LAPACK).  Each exchange updates only the rows where the pivot column is
+    nonzero.  Raises ``LinAlgError`` when the block is not square, a pivot
+    falls below ``PIVOT_TOL`` or the result is not finite."""
+    k = block.shape[0]
+    if block.shape[1] != k:
+        raise np.linalg.LinAlgError("basis block is not square")
+    t = block.copy()
+    avail = np.ones(k)
+    order = np.empty(k, dtype=np.int64)
+    for j in range(k):
+        size = np.abs(t[:, j]) * avail
+        i = int(np.argmax(size))
+        if size[i] < PIVOT_TOL:
+            raise np.linalg.LinAlgError("singular basis block")
+        pivot = t[i, j]
+        col = t[:, j] / pivot
+        row = t[i].copy()
+        live = np.flatnonzero(col)
+        t[live] -= np.multiply.outer(col[live], row)
+        t[i] = row / -pivot
+        t[:, j] = col
+        t[i, j] = 1.0 / pivot
+        avail[i] = 0.0
+        order[j] = i
+    if not np.all(np.isfinite(t)):
+        raise np.linalg.LinAlgError("basis inverse is not finite")
+    inv = np.empty_like(t)
+    inv[:, order] = t[order]
+    return inv
+
+
+class _Factor:
+    """The inverse of a basis ``A[:, columns]`` in product form: a block
+    inverse of the starting basis, then one eta vector per pivot.
+
+    A basic slack's column is a signed unit column.  With the rows whose
+    slack is nonbasic (``free``) first and the basic slacks' rows
+    (``fixed``) last, the starting basis is block lower triangular,
+    ``[[B11, 0], [B21, diag(sign)]]``, so only the k x k block ``B11`` of
+    basic structural columns is inverted.  A pivot at position r whose
+    entering column has ``ftran`` ``col`` multiplies ``B^-1`` on the left by
+    ``I - eta e_r^T``, with ``eta = col / col[r]`` except
+    ``eta[r] = 1 - 1 / col[r]``.  Raises ``LinAlgError`` when ``B11`` is
+    singular or its inverse is not finite.
+    """
+
+    def __init__(self, a: np.ndarray, columns: np.ndarray, n: int) -> None:
+        struct = columns < n
+        self.pos_struct = np.flatnonzero(struct)
+        self.pos_slack = np.flatnonzero(~struct)
+        self.fixed = columns[self.pos_slack] - n
+        free = np.ones(a.shape[0], dtype=bool)
+        free[self.fixed] = False
+        self.free = np.flatnonzero(free)
+        cols = columns[self.pos_struct]
+        self.inv = _invert(a[np.ix_(self.free, cols)])
+        self.b21 = a[np.ix_(self.fixed, cols)]
+        self.sign = a[self.fixed, n + self.fixed]
+        self.etas: list[tuple[int, np.ndarray]] = []
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 v`` for ``v`` over rows; the result is over basis positions."""
+        y = np.empty(v.shape[0])
+        ys = self.inv @ v[self.free]
+        y[self.pos_struct] = ys
+        y[self.pos_slack] = (v[self.fixed] - self.b21 @ ys) / self.sign
+        for r, eta in self.etas:
+            y -= eta * y[r]
+        return y
+
+    def btran(self, w: np.ndarray) -> np.ndarray:
+        """``w B^-1`` for ``w`` over basis positions; the result is over rows."""
+        w = w.copy()
+        for r, eta in reversed(self.etas):
+            w[r] -= eta @ w
+        u = np.empty(w.shape[0])
+        us = w[self.pos_slack] / self.sign
+        u[self.fixed] = us
+        u[self.free] = (w[self.pos_struct] - us @ self.b21) @ self.inv
+        return u
+
+    def replace(self, r: int, col: np.ndarray) -> None:
+        """The column whose ``ftran`` is ``col`` takes basis position r."""
+        eta = col / col[r]
+        eta[r] = 1.0 - 1.0 / col[r]
+        self.etas.append((r, eta))
+
+
 def _dual_simplex(
     form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis
 ) -> tuple[LpSolution | None, int]:
@@ -323,70 +427,66 @@ def _dual_simplex(
     the attempt must fall back to the cold path."""
     m, total = form.a.shape
     n = form.n_struct
-    slack_sign = form.a[np.arange(m), n + np.arange(m)]
-    tableau = form.a / slack_sign[:, None]
-    basis = np.arange(n, total)
-    in_target = np.zeros(total, dtype=bool)
-    in_target[warm.columns] = True
-    free_row = ~in_target[basis]
-    pivots = 0
     try:
-        # Crash: pivot each basic structural column into the free row (its
-        # slack leaves the basis) where the column is largest.
-        for j in warm.columns[warm.columns < n]:
-            r = int(np.argmax(np.where(free_row, np.abs(tableau[:, j]), 0.0)))
-            _pivot(tableau, r, j)
-            basis[r] = j
-            free_row[r] = False
+        factor = _Factor(form.a, warm.columns, n)
+    except np.linalg.LinAlgError:
+        return None, 0
+    basis = warm.columns.copy()
+    status = np.where(warm.at_upper & np.isfinite(up), AT_UPPER, AT_LOWER).astype(np.int8)
+    nonbasic = np.ones(total, dtype=bool)
+    nonbasic[basis] = False
+    x = np.where(nonbasic & (status == AT_UPPER), up, lo)
+    x[basis] = 0.0
+    beta = factor.ftran(form.b - form.a @ x)
+    d = form.c - factor.btran(form.c[basis]) @ form.a
+    movable = (up - lo) > FEAS_TOL
+    if not _dual_feasible(d, status, movable & nonbasic):
+        return None, 0
 
-        status = np.where(warm.at_upper & np.isfinite(up), AT_UPPER, AT_LOWER).astype(np.int8)
-        nonbasic = np.ones(total, dtype=bool)
-        nonbasic[basis] = False
-        x = np.where(nonbasic & (status == AT_UPPER), up, lo)
-        x[basis] = 0.0
-        # Column n+i of the tableau is B^-1 times row i's slack column.
-        beta = tableau[:, n:] @ (slack_sign * (form.b - form.a @ x))
-        d = form.c - form.c[basis] @ tableau
-        movable = (up - lo) > FEAS_TOL
-        if not _dual_feasible(d, status, movable & nonbasic):
+    pivots = 0
+    unit = np.zeros(m)
+    while True:
+        infeas = np.maximum(lo[basis] - beta, beta - up[basis])
+        r = int(np.argmax(infeas))
+        if infeas[r] <= FEAS_TOL:
+            break
+        if pivots >= total:  # one pivot per column: longer is cycling
             return None, pivots
+        leaving = int(basis[r])
+        to_upper = beta[r] > up[leaving]
+        # Row r of B^-1 A, over the rows where row r of B^-1 is nonzero.
+        unit[r] = 1.0
+        rho = factor.btran(unit)
+        unit[r] = 0.0
+        rows = np.flatnonzero(rho)
+        alpha = rho[rows] @ form.a[rows]
+        s = alpha if to_upper else -alpha
+        eligible = movable & nonbasic
+        at_lo = status == AT_LOWER
+        cand = np.flatnonzero(eligible & ((at_lo & (s > FEAS_TOL)) | (~at_lo & (s < -FEAS_TOL))))
+        if cand.size == 0:
+            return None, pivots
+        ratios = np.maximum(np.where(at_lo[cand], d[cand], -d[cand]), 0.0) / np.abs(s[cand])
+        tied = cand[ratios <= ratios.min() + FEAS_TOL]
+        q = int(tied[int(np.argmax(np.abs(alpha[tied])))])
 
-        while True:
-            infeas = np.maximum(lo[basis] - beta, beta - up[basis])
-            r = int(np.argmax(infeas))
-            if infeas[r] <= FEAS_TOL:
-                break
-            if pivots >= total:  # one pivot per column: longer is cycling
-                return None, pivots
-            leaving = int(basis[r])
-            to_upper = beta[r] > up[leaving]
-            alpha = tableau[r].copy()
-            s = alpha if to_upper else -alpha
-            eligible = movable & nonbasic
-            at_lo = status == AT_LOWER
-            cand = np.flatnonzero(eligible & ((at_lo & (s > FEAS_TOL)) | (~at_lo & (s < -FEAS_TOL))))
-            if cand.size == 0:
-                return None, pivots
-            ratios = np.maximum(np.where(at_lo[cand], d[cand], -d[cand]), 0.0) / np.abs(s[cand])
-            tied = cand[ratios <= ratios.min() + FEAS_TOL]
-            q = int(tied[int(np.argmax(np.abs(alpha[tied])))])
-
-            pivots += 1
-            step = (beta[r] - (up[leaving] if to_upper else lo[leaving])) / alpha[q]
-            enter_val = (lo[q] if status[q] == AT_LOWER else up[q]) + step
-            theta = d[q] / alpha[q]
-            beta -= tableau[:, q] * step
-            beta[r] = enter_val
-            d -= theta * alpha
-            d[leaving] = -theta
-            d[q] = 0.0
-            status[leaving] = AT_UPPER if to_upper else AT_LOWER
-            nonbasic[leaving] = True
-            nonbasic[q] = False
-            basis[r] = q
-            _pivot(tableau, r, q)
-    except SimplexError:
-        return None, pivots
+        pivots += 1
+        col = factor.ftran(form.a[:, q])
+        if abs(col[r]) < PIVOT_TOL:
+            return None, pivots
+        step = (beta[r] - (up[leaving] if to_upper else lo[leaving])) / alpha[q]
+        enter_val = (lo[q] if status[q] == AT_LOWER else up[q]) + step
+        theta = d[q] / alpha[q]
+        beta -= col * step
+        beta[r] = enter_val
+        d -= theta * alpha
+        d[leaving] = -theta
+        d[q] = 0.0
+        status[leaving] = AT_UPPER if to_upper else AT_LOWER
+        nonbasic[leaving] = True
+        nonbasic[q] = False
+        basis[r] = q
+        factor.replace(r, col)
 
     x = np.where(status == AT_UPPER, up, lo)
     x[basis] = beta
@@ -397,7 +497,7 @@ def _dual_simplex(
         or np.any(x > up + WARM_TOL)
     ):
         return None, pivots
-    d = form.c - form.c[basis] @ tableau
+    d = form.c - factor.btran(form.c[basis]) @ form.a
     if not _dual_feasible(d, status, movable & nonbasic):
         return None, pivots
     at_upper = nonbasic & (status == AT_UPPER)

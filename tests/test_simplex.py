@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from lumharch import Mode, build_model, builtin_topology, lp_relax, make_session, simplex, solve
+from lumharch import Mode, SolveStatus, build_model, builtin_topology, lp_relax, make_session, simplex, solve
 from lumharch.cli import generate_sessions
 from lumharch.network import Network, NodeKind
 from lumharch.simplex import build_standard_form, solve_lp
@@ -309,3 +309,112 @@ def test_root_pivots_on_nsf_deep_session():
         assert abs(root.value - ref.fun) <= 1e-6
         assert abs(root.value - 50 / 3) <= 1e-6
         assert root.iterations <= 200, root.iterations
+
+
+def _assert_factor_solves(form, factor, columns, rng):
+    basis = form.a[:, columns]
+    m = form.a.shape[0]
+    for _ in range(3):
+        v = rng.normal(size=m)
+        assert np.max(np.abs(basis @ factor.ftran(v) - v)) <= 1e-9
+        assert np.max(np.abs(factor.btran(v) @ basis - v)) <= 1e-9
+
+
+def test_factor_solves_with_its_basis_after_etas():
+    # The block inverse of a parent basis, then a few eta updates: ftran and
+    # btran must solve with A[:, basis] after each one.  Includes the basis
+    # that names an equality slack in place of an artificial.
+    rng = np.random.default_rng(31415)
+    forms = []
+    for _ in range(150):
+        lp = _random_lp(rng)
+        if lp[4]:
+            forms.append(_random_form(lp))
+    rows = [(((0, 1), (1, 1)), "=", 1.5), (((0, 2), (1, 2)), "=", 3.0)]
+    forms.append(build_standard_form(2, [(0, -1), (1, -2)], rows, np.zeros(2), np.ones(2)))
+    factored = etas = 0
+    for form in forms:
+        parent = solve_lp(form)
+        if parent.status != "optimal":
+            continue
+        columns = parent.basis.columns.copy()
+        factor = simplex._Factor(form.a, columns, form.n_struct)
+        _assert_factor_solves(form, factor, columns, rng)
+        factored += 1
+        for q in rng.permutation(form.a.shape[1])[:3]:
+            if q in columns:
+                continue
+            col = factor.ftran(form.a[:, q])
+            r = int(np.argmax(np.abs(col)))
+            if abs(col[r]) < 1e-6:
+                continue
+            factor.replace(r, col)
+            columns[r] = q
+            _assert_factor_solves(form, factor, columns, rng)
+            etas += 1
+    assert 3 in solve_lp(forms[-1]).basis.columns
+    assert factored >= 60 and etas >= 60
+
+
+def test_warm_attempts_make_no_tableau_pivots(monkeypatch):
+    # The warm path re-optimizes on a factorized basis: no tableau pivot
+    # (``_pivot``) runs inside a warm attempt, and every pivot made, warm or
+    # cold, is counted in lp_iterations.
+    counts = {"pivot": 0, "warm_pivot_calls": 0}
+    warm_pivots: list[int] = []
+    cold_iterations: list[int] = []
+    in_warm = [False]
+    pivot, dual, two_phase = simplex._pivot, simplex._dual_simplex, simplex._two_phase
+
+    def counted_pivot(*args):
+        counts["pivot"] += 1
+        counts["warm_pivot_calls"] += in_warm[0]
+        return pivot(*args)
+
+    def recorded_dual(*args):
+        in_warm[0] = True
+        try:
+            result = dual(*args)
+        finally:
+            in_warm[0] = False
+        warm_pivots.append(result[1])
+        return result
+
+    def recorded_two_phase(*args):
+        sol = two_phase(*args)
+        cold_iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex, "_dual_simplex", recorded_dual)
+    monkeypatch.setattr(simplex, "_two_phase", recorded_two_phase)
+    net = builtin_topology("nsf")
+    session = generate_sessions(net, 3, 4, seed=1)[3]
+    for mode in (Mode.LH, Mode.LT):
+        counts.update(pivot=0, warm_pivot_calls=0)
+        warm_pivots.clear()
+        cold_iterations.clear()
+        report = solve(build_model(net, session, mode, True))
+        assert report.status == SolveStatus.OPTIMAL
+        assert len(warm_pivots) >= 10 and sum(warm_pivots) > 0
+        assert counts["warm_pivot_calls"] == 0
+        assert sum(warm_pivots) + sum(cold_iterations) == report.lp_iterations
+        assert counts["pivot"] + sum(warm_pivots) <= report.lp_iterations
+
+
+def test_singular_structural_block_falls_back_to_cold(monkeypatch):
+    # min -x - y  s.t.  x + y <= 3,  2x + 2y <= 8,  0 <= x, y <= 2.  A basis
+    # with x and y basic in both rows has the singular structural block
+    # [[1, 1], [2, 2]]: the warm attempt spends no pivot and returns the cold
+    # answer, and no LinAlgError reaches the caller.
+    rows = [(((0, 1), (1, 1)), "<=", 3.0), (((0, 2), (1, 2)), "<=", 8.0)]
+    form = build_standard_form(2, [(0, -1), (1, -1)], rows, np.zeros(2), np.full(2, 2.0))
+    singular = simplex.Basis(columns=np.array([0, 1]), at_upper=np.zeros(4, dtype=bool))
+    lo, up = np.zeros(2), np.array([1.0, 2.0])
+    cold = solve_lp(form, lo, up)
+    attempts = _record_warm_attempts(monkeypatch)
+    warm = solve_lp(form, lo, up, warm=singular)
+    assert attempts == [(None, 0)]
+    assert warm.status == cold.status == "optimal"
+    assert abs(warm.value - cold.value) <= 1e-9 and abs(cold.value + 3.0) <= 1e-9
+    assert warm.iterations == cold.iterations
