@@ -40,12 +40,10 @@ from .network import (
 from .oracle import OracleGuardError, OracleResult, enumerate_optimal
 from .solver import (
     FlowIntegralizationError,
-    LpRelaxation,
     SolveOptions,
     SolveReport,
     SolveStatus,
     integralize_flows,
-    lp_relax,
     solve,
     solve_session,
 )

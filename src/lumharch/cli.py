@@ -10,15 +10,12 @@ structure validation), 3 infeasible, 4 solver limit reached.
 Batch runs are deterministic for a fixed config: sessions come from a
 splitmix64 generator with Fisher-Yates prefix sampling, rows are emitted
 in session order, and wall-clock timing is only written when ``--timing``
-is given (it is the one intrinsically non-reproducible column).  The
-``LUMHARCH_THREADS`` environment variable caps batch parallelism.
+is given (it is the one intrinsically non-reproducible column).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -145,28 +142,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
     else:
         sessions = generate_sessions(net, cfg.group_size, cfg.session_count, cfg.seed)
 
-    jobs = [(sid, ms, mode) for sid, ms in enumerate(sessions) for mode in cfg.modes]
-    threads = max(int(os.environ.get("LUMHARCH_THREADS", "1") or "1"), 1)
-
-    def solve_job(job: tuple[int, MulticastSession, Mode]):
-        _, ms, mode = job
-        return _solve_one(net, ms, mode, cfg.node_limit)
-
-    if threads == 1:
-        # Solve in the caller: a pool would load the thread-pool module and
-        # raise peak RSS for nothing.
-        outcomes = map(solve_job, jobs)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = pool.map(solve_job, jobs)  # submits every job at once
-    results = {(sid, mode.value): out for (sid, _, mode), out in zip(jobs, outcomes)}
-
     lines = [CSV_HEADER]
     metrics = MetricsRow(group_size=cfg.group_size)
     both_modes = len(cfg.modes) == 2
     lh_total = lt_total = 0
     for sid, ms in enumerate(sessions):
-        per_mode = {mode.value: results[(sid, mode.value)] for mode in cfg.modes}
+        per_mode = {mode.value: _solve_one(net, ms, mode, cfg.node_limit) for mode in cfg.modes}
         all_optimal = all(rep.status is SolveStatus.OPTIMAL for rep, _, _ in per_mode.values())
         if not all_optimal:
             metrics.excluded += 1

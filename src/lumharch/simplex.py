@@ -238,8 +238,8 @@ def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution
                 cols = tableau[:, candidates]
                 score = z[candidates] ** 2 / (1.0 + np.einsum("ij,ij->j", cols, cols))
                 # Free the copy before _pivot allocates its temporaries: held
-                # through the pivot, it raised the 2-thread batch's peak RSS
-                # by about 2 MB.
+                # through the pivot, it raised a single-threaded batch's peak
+                # RSS by about 0.3 MB.
                 del cols
                 j = int(candidates[int(np.argmax(score))])
             direction = 1.0 if status[j] == AT_LOWER else -1.0

@@ -64,14 +64,6 @@ class SolveReport:
     wavelength_count: int | None = None
 
 
-@dataclass(frozen=True)
-class LpRelaxation:
-    status: str  # "optimal" | "infeasible"
-    value: float | None
-    point: dict[str, float]
-    iterations: int
-
-
 class FlowIntegralizationError(ValueError):
     """No integral flow exists for the fixed link pattern."""
 
@@ -82,18 +74,6 @@ def _standard_form(model: IlpModel) -> StandardForm:
     upper = np.array([float(v.upper) for v in model.vars])
     rows = [(c.terms, c.relation.value, float(c.rhs)) for c in model.constraints]
     return build_standard_form(n, list(model.objective), rows, lower, upper)
-
-
-def lp_relax(model: IlpModel) -> LpRelaxation:
-    """Continuous relaxation via the bounded-variable simplex."""
-    form = _standard_form(model)
-    sol = solve_lp(form)
-    if sol.status == "infeasible":
-        return LpRelaxation(status="infeasible", value=None, point={}, iterations=sol.iterations)
-    if sol.status != "optimal":
-        raise SimplexError(f"relaxation ended with status {sol.status}")
-    point = {v.name: float(sol.x[v.index]) for v in model.vars}
-    return LpRelaxation(status="optimal", value=sol.value, point=point, iterations=sol.iterations)
 
 
 def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:

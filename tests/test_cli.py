@@ -122,14 +122,26 @@ def test_experiment_timing_column_filled():
         assert line.rsplit(",", 1)[1].isdigit()
 
 
-def test_experiment_threads_match_sequential(monkeypatch):
+def test_experiment_golden_csv():
+    # Rows come session by session, each in cfg.modes order.  nodes_explored
+    # and cps_used are left out: they may move at equal optima when the
+    # B&B search path changes.
     cfg = ExperimentConfig(topology="fig3", group_size=2, session_count=3, seed=3)
-    monkeypatch.delenv("LUMHARCH_THREADS", raising=False)
-    _, sequential = run_experiment(cfg)
-    for threads in ("4", "0"):
-        monkeypatch.setenv("LUMHARCH_THREADS", threads)
-        _, threaded = run_experiment(cfg)
-        assert sequential == threaded
+    _, text = run_experiment(cfg)
+    lines = text.splitlines()
+    assert text.endswith("\n")
+    assert lines[0] == CSV_HEADER
+    assert all(line.count(",") == 9 for line in lines)
+    kept = [0, 1, 2, 3, 4, 5, 7, 9]  # every column but cps_used and nodes_explored
+    rows = [",".join(line.split(",")[i] for i in kept) for line in lines[1:]]
+    assert rows == [
+        "0,5,3;4,LH,2,1,Optimal,",
+        "0,5,3;4,LT,2,1,Optimal,",
+        "1,d2,2;3,LH,2,1,Optimal,",
+        "1,d2,2;3,LT,2,1,Optimal,",
+        "2,s,1;4,LH,4,1,Optimal,",
+        "2,s,1;4,LT,4,1,Optimal,",
+    ]
 
 
 # --- command surface ---------------------------------------------------------

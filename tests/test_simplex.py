@@ -5,10 +5,11 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from lumharch import Mode, SolveStatus, build_model, builtin_topology, lp_relax, make_session, simplex, solve
+from lumharch import Mode, SolveStatus, build_model, builtin_topology, make_session, simplex, solve
 from lumharch.cli import generate_sessions
 from lumharch.network import Network, NodeKind
 from lumharch.simplex import build_standard_form, solve_lp
+from lumharch.solver import _standard_form
 
 
 def _random_lp(rng):
@@ -114,20 +115,18 @@ def test_degenerate_lp_terminates():
 
 def test_relaxation_bounds_fig3(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
-    relax = lp_relax(model)
+    relax = solve_lp(_standard_form(model))
     report = solve(model)
     assert relax.status == "optimal"
     assert relax.value <= report.objective + 1e-6
     assert relax.value <= 3 * 8 + 1  # loose structural upper bound on the bound
-    assert set(relax.point) == {v.name for v in model.vars}
+    assert relax.x.shape == (len(model.vars),)
 
 def test_relaxation_with_fixed_pattern_equals_objective(fig3, fig3_session):
     # With every link/wavelength indicator pinned to a feasible hierarchy the
     # relaxation has no freedom left that affects the objective.
     model = build_model(fig3, fig3_session, Mode.LH, True)
     report = solve(model)
-    from lumharch.solver import _standard_form
-
     form = _standard_form(model)
     lower = np.array([float(v.lower) for v in model.vars])
     upper = np.array([float(v.upper) for v in model.vars])
@@ -146,14 +145,11 @@ def test_relaxation_infeasible_disconnected_destination():
     )
     ms = make_session(net, "s", ["y"])
     model = build_model(net, ms, Mode.LH, True)
-    relax = lp_relax(model)
+    relax = solve_lp(_standard_form(model))
     assert relax.status == "infeasible"
-    assert relax.value is None
 
 def test_lower_bound_monotonicity_under_branching(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
-    from lumharch.solver import _standard_form
-
     form = _standard_form(model)
     root = solve_lp(form)
     assert root.status == "optimal"
@@ -297,8 +293,6 @@ def test_bland_fallback_matches_scipy(monkeypatch):
 def test_root_pivots_on_nsf_deep_session():
     # NSF seed-1 |D|=3 session 3 is degenerate enough that Dantzig pricing
     # takes 372 (LH) and 400 (LT) root pivots; steepest edge takes about 125.
-    from lumharch.solver import _standard_form
-
     net = builtin_topology("nsf")
     session = generate_sessions(net, 3, 4, seed=1)[3]
     for mode in (Mode.LH, Mode.LT):
