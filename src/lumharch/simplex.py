@@ -7,13 +7,15 @@ Cold solves use a two-phase primal simplex: artificial variables absorb
 whatever the slack basis cannot, then the true objective is optimized with
 artificials pinned to zero.  Pivoting is deterministic.  The entering
 column is chosen by exact steepest edge: among the candidates, the largest
-``z_j**2 / (1 + ||T[:, j]||**2)``, with each candidate's column norm
-computed fresh from the current tableau (no reference weights are kept)
-and lowest-index tie breaks.  On the degenerate WDM models it takes a third
-to a half of the pivots that Dantzig's largest ``|z_j|`` takes.  The
-leaving row is the lowest variable index among ratio ties, and a long run
-of degenerate steps switches to Bland's rule so cycling cannot occur.
-Feasibility tolerance is 1e-9.
+``z_j**2 / (1 + ||T[:, j]||**2)``, with lowest-index tie breaks.  The
+squared column norms are computed once from the scaled starting tableau
+and cached.  After each pivot only the columns it changed are recomputed
+from the tableau, so every cached norm equals a fresh one exactly (no
+reference weights are kept).  On the degenerate WDM models steepest edge
+takes a third to a half of the pivots that Dantzig's largest ``|z_j|``
+takes.  The leaving row is the lowest variable index among ratio ties, and
+a long run of degenerate steps switches to Bland's rule so cycling cannot
+occur.  Feasibility tolerance is 1e-9.
 
 Every optimal solution carries its final :class:`Basis`.  A branch-and-bound
 child differs from its parent only in a structural bound, so the parent's
@@ -36,7 +38,13 @@ m x ncols tableau would peak at 3.0 MB.
 
 Cold pivots touch only the rows where the pivot column is nonzero and the
 columns where the pivot row is nonzero: the rank-1 update would change
-every other entry by exactly zero.
+every other entry by exactly zero.  The rest of a cold iteration avoids
+dense passes too.  The reduced costs are recomputed at every iteration,
+but only from the basic rows with a nonzero cost: the basic artificials
+in phase 1, and the basic ``L``/``w`` columns of the WDM models in phase 2.
+Nonbasic columns are tracked by a mask updated at each pivot.  The ratio
+test runs over only the rows where the entering column exceeds 1e-9 in
+magnitude, the only rows that can limit the step.
 
 The cold path is the reference.  A warm attempt falls back to it, and adds
 its pivots to the returned ``iterations``, when the structural block is
@@ -136,17 +144,20 @@ def build_standard_form(
     return StandardForm(a=a, b=b, c=c, lower=lo, upper=up, n_struct=n_struct)
 
 
-def _pivot(tableau: np.ndarray, leave: int, j: int) -> None:
-    """Make column j the unit column of row ``leave`` in place."""
+def _pivot(tableau: np.ndarray, leave: int, j: int) -> np.ndarray:
+    """Make column j the unit column of row ``leave`` in place; returns the
+    columns it changed, the nonzeros of the pivot row.  Every other column
+    is left bit-identical."""
     pivot = tableau[leave, j]
     if abs(pivot) < PIVOT_TOL:
         raise SimplexError("pivot element vanished")
-    prow = tableau[leave] / pivot
-    tableau[leave] = prow
+    cols = np.flatnonzero(tableau[leave])
+    prow = tableau[leave, cols] / pivot
+    tableau[leave, cols] = prow
     rows = np.flatnonzero(tableau[:, j])
     rows = rows[rows != leave]
-    cols = np.flatnonzero(prow)
-    tableau[np.ix_(rows, cols)] -= np.outer(tableau[rows, j], prow[cols])
+    tableau[rows[:, None], cols] -= tableau[rows, j][:, None] * prow
+    return cols
 
 
 def solve_lp(
@@ -212,22 +223,30 @@ def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution
             beta[i] /= pivot
 
     movable = (up_full - lo_full) > FEAS_TOL
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    # Squared column norms for steepest edge, kept exact: a pivot changes
+    # only the columns _pivot returns, and only those are recomputed.
+    norms = np.einsum("ij,ij->j", tableau, tableau)
     iterations = 0
 
     def run_phase(cost: np.ndarray, banned: np.ndarray) -> str:
         nonlocal iterations, beta
         degenerate_run = 0
         use_bland = False
+        eligible = movable & ~banned
         while True:
             iterations += 1
             if iterations > MAX_ITER:
                 raise SimplexError("iteration limit exceeded")
-            z = cost - cost[basis] @ tableau
-            eligible = movable & ~banned
-            eligible[basis] = False
-            can_up = eligible & (status == AT_LOWER) & (z < -RC_TOL)
-            can_dn = eligible & (status == AT_UPPER) & (z > RC_TOL)
-            candidates = np.flatnonzero(can_up | can_dn)
+            # Only the basic rows with a nonzero cost contribute to z.
+            cb = cost[basis]
+            costed = np.flatnonzero(cb)
+            z = cost - cb[costed] @ tableau[costed]
+            # A column improves by rising from its lower bound (z < 0) or
+            # falling from its upper bound (z > 0).
+            gain = np.where(status == AT_LOWER, -z, z)
+            candidates = np.flatnonzero(eligible & nonbasic & (gain > RC_TOL))
             if candidates.size == 0:
                 return "optimal"
             if use_bland:
@@ -235,24 +254,21 @@ def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution
             else:
                 # Exact steepest edge: the reduced cost per unit length of
                 # the edge (1, -T[:, j]) the entering column moves along.
-                cols = tableau[:, candidates]
-                score = z[candidates] ** 2 / (1.0 + np.einsum("ij,ij->j", cols, cols))
-                # Free the copy before _pivot allocates its temporaries: held
-                # through the pivot, it raised a single-threaded batch's peak
-                # RSS by about 0.3 MB.
-                del cols
+                score = z[candidates] ** 2 / (1.0 + norms[candidates])
                 j = int(candidates[int(np.argmax(score))])
             direction = 1.0 if status[j] == AT_LOWER else -1.0
             d = tableau[:, j] * direction
 
-            bl = lo_full[basis]
-            bu = up_full[basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_dn = np.where(d > FEAS_TOL, np.maximum(beta - bl, 0.0) / np.where(d > FEAS_TOL, d, 1.0), np.inf)
-                up_ok = (d < -FEAS_TOL) & np.isfinite(bu)
-                t_up = np.where(up_ok, np.maximum(bu - beta, 0.0) / np.where(up_ok, -d, 1.0), np.inf)
-            t_rows = np.minimum(t_dn, t_up)
-            t_min = float(t_rows.min()) if m else np.inf
+            # Rows where |d| <= FEAS_TOL put no limit on the step.
+            live = np.flatnonzero(np.abs(d) > FEAS_TOL)
+            dl = d[live]
+            held = basis[live]
+            bt = beta[live]
+            # A basic variable falls to its lower bound (d > 0) or rises to
+            # its upper bound (d < 0); an infinite upper bound never binds.
+            gap = np.where(dl > 0, bt - lo_full[held], up_full[held] - bt)
+            t_rows = np.maximum(gap, 0.0) / np.abs(dl)
+            t_min = float(t_rows.min()) if live.size else np.inf
             t_flip = up_full[j] - lo_full[j]
 
             if not np.isfinite(min(t_min, t_flip)):
@@ -260,8 +276,9 @@ def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution
 
             if t_min <= t_flip + FEAS_TOL:
                 tied = np.flatnonzero(t_rows <= t_min + FEAS_TOL)
-                leave = int(tied[int(np.argmin(basis[tied]))])
-                t_step = float(t_rows[leave])
+                k = int(tied[int(np.argmin(held[tied]))])
+                leave = int(live[k])
+                t_step = float(t_rows[k])
             else:
                 leave = -1
                 t_step = float(t_flip)
@@ -284,7 +301,15 @@ def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution
             beta = beta - d * t_step
             beta[leave] = enter_val
             basis[leave] = j
-            _pivot(tableau, leave, j)
+            nonbasic[leaving] = True
+            nonbasic[j] = False
+            changed = _pivot(tableau, leave, j)
+            block = tableau[:, changed]
+            norms[changed] = np.einsum("ij,ij->j", block, block)
+            # Free the gathered columns before the next pivot allocates its
+            # temporaries: held through it, they raised a batch's peak RSS
+            # by about 0.35 MB on NSF |D|=1 and 1.3 MB on COST239 |D|=3.
+            del block
 
     def current_x(cost_len: int) -> np.ndarray:
         x = np.where(status == AT_UPPER, up_full, lo_full).astype(float)

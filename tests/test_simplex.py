@@ -290,19 +290,67 @@ def test_bland_fallback_matches_scipy(monkeypatch):
     assert children >= 300
 
 
-def test_root_pivots_on_nsf_deep_session():
-    # NSF seed-1 |D|=3 session 3 is degenerate enough that Dantzig pricing
-    # takes 372 (LH) and 400 (LT) root pivots; steepest edge takes about 125.
-    net = builtin_topology("nsf")
-    session = generate_sessions(net, 3, 4, seed=1)[3]
+def _assert_root_pivots(net, index, value, pivots):
+    """The cold root LP of seed-1 |D|=3 session ``index`` takes exactly
+    ``pivots[mode]`` pivots and agrees with HiGHS on ``value``."""
+    session = generate_sessions(net, 3, index + 1, seed=1)[index]
     for mode in (Mode.LH, Mode.LT):
         form = _standard_form(build_model(net, session, mode, True))
         root = solve_lp(form)
         ref = linprog(form.c, A_eq=form.a, b_eq=form.b, bounds=list(zip(form.lower, form.upper)), method="highs")
         assert root.status == "optimal" and ref.status == 0
         assert abs(root.value - ref.fun) <= 1e-6
-        assert abs(root.value - 50 / 3) <= 1e-6
-        assert root.iterations <= 200, root.iterations
+        assert abs(root.value - value) <= 1e-6
+        assert root.iterations == pivots[mode], (mode, root.iterations)
+
+
+# Exact root pivot counts pin the cold pricing path: a change to the entering
+# or leaving rule must update them on purpose.
+
+
+def test_root_pivots_on_nsf_deep_session():
+    # NSF seed-1 |D|=3 sessions 3 and 4 are degenerate enough that Dantzig
+    # pricing takes 372 (LH) and 400 (LT) root pivots on session 3.
+    net = builtin_topology("nsf")
+    _assert_root_pivots(net, 3, 50 / 3, {Mode.LH: 125, Mode.LT: 122})
+    _assert_root_pivots(net, 4, 15.5, {Mode.LH: 85, Mode.LT: 135})
+
+
+def test_root_pivots_on_cost239_session():
+    net = builtin_topology("cost239", splitters=("3", "8"))
+    _assert_root_pivots(net, 0, 12.0, {Mode.LH: 148, Mode.LT: 151})
+
+
+def test_pivot_changes_only_the_returned_columns():
+    # The cold path recomputes the steepest-edge norm of only the columns
+    # _pivot returns, so every other column must come out bit-identical
+    # (signed zeros included).  Column j becomes the unit column of row
+    # ``leave``, and the tableau equals the dense rank-1 update.
+    rng = np.random.default_rng(271828)
+    pivots = 0
+    for _ in range(150):
+        m, n = int(rng.integers(2, 10)), int(rng.integers(2, 14))
+        # Structural zeros, about a third of them negative zeros.
+        tableau = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.35)
+        for _ in range(4):
+            usable = np.argwhere(np.abs(tableau) > 1e-3)
+            if not usable.size:
+                break
+            leave, j = (int(k) for k in usable[rng.integers(len(usable))])
+            before = tableau.copy()
+            prow = before[leave] / before[leave, j]
+            dense = before - np.outer(before[:, j], prow)
+            dense[leave] = prow
+            changed = simplex._pivot(tableau, leave, j)
+            assert np.array_equal(changed, np.flatnonzero(before[leave]))
+            kept = np.setdiff1d(np.arange(n), changed)
+            assert tableau[:, kept].tobytes() == before[:, kept].tobytes()
+            unit = np.zeros(m)
+            unit[leave] = 1.0
+            assert np.array_equal(tableau[:, j], unit)
+            assert np.array_equal(tableau, dense)
+            pivots += 1
+    assert pivots >= 400
 
 
 def _assert_factor_solves(form, factor, columns, rng):
