@@ -208,7 +208,8 @@ def _session(net: Network, args: argparse.Namespace) -> MulticastSession:
     return make_session(net, args.source, [d for d in args.dest.split(",") if d])
 
 
-def _print_report(net: Network, ms: MulticastSession, model, report: SolveReport, out) -> None:
+def _print_report(net: Network, report: SolveReport, lss: hierarchy.LightStructureSet | None, out) -> None:
+    """``lss`` is the optimal structures, None when the solve is not optimal."""
     print(f"status: {report.status.value}", file=out)
     if report.objective is not None:
         print(f"objective: {report.objective}", file=out)
@@ -216,8 +217,7 @@ def _print_report(net: Network, ms: MulticastSession, model, report: SolveReport
         print(f"wavelengths: {report.wavelength_count}", file=out)
     print(f"nodes explored: {report.nodes_explored}", file=out)
     print(f"lp iterations: {report.lp_iterations}", file=out)
-    if report.assignment is not None and report.status is SolveStatus.OPTIMAL:
-        lss = extract_structures(model, report.assignment, net, ms)
+    if lss is not None:
         print(hierarchy.format_dump(lss, net), end="", file=out)
         cps = sorted({m for ls in lss.structures for m in hierarchy.cps_nodes(ls, net)})
         if cps:
@@ -229,9 +229,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ms = _session(net, args)
     model = build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
     report = solve(model, SolveOptions(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms))
-    _print_report(net, ms, model, report, sys.stdout)
-    if args.dump and report.status is SolveStatus.OPTIMAL:
+    lss = None
+    if report.status is SolveStatus.OPTIMAL:
         lss = extract_structures(model, report.assignment, net, ms)
+    _print_report(net, report, lss, sys.stdout)
+    if args.dump and lss is not None:
         Path(args.dump).write_text(hierarchy.format_dump(lss, net), encoding="utf-8")
     if report.status is SolveStatus.INFEASIBLE:
         return 3

@@ -1,60 +1,57 @@
-"""Bounded-variable simplex: dense tableaus cold, a factorized basis warm.
+"""Bounded-variable dual simplex on a factorized basis.
 
 Solves  min c.x  s.t.  rows of (terms, relation, rhs),  l <= x <= u  with
 finite bounds on all structural variables.
 
-Cold solves use a two-phase primal simplex: artificial variables absorb
-whatever the slack basis cannot, then the true objective is optimized with
-artificials pinned to zero.  Pivoting is deterministic.  The entering
-column is chosen by exact steepest edge: among the candidates, the largest
-``z_j**2 / (1 + ||T[:, j]||**2)``, with lowest-index tie breaks.  The
-squared column norms are computed once from the scaled starting tableau
-and cached.  After each pivot only the columns it changed are recomputed
-from the tableau, so every cached norm equals a fresh one exactly (no
-reference weights are kept).  On the degenerate WDM models steepest edge
-takes a third to a half of the pivots that Dantzig's largest ``|z_j|``
-takes.  The leaving row is the lowest variable index among ratio ties, and
-a long run of degenerate steps switches to Bland's rule so cycling cannot
-occur.  Feasibility tolerance is 1e-9.
+One loop, a bounded dual simplex, solves every LP, from one of two starts.
+The cold start (the root, and every fallback) is the slack basis with each
+structural nonbasic at the bound its cost favours: the upper bound where
+``c_j < 0``, the lower bound otherwise.  Every reduced cost is then ``c_j``
+with the sign optimality needs, so the start is dual feasible and no
+phase 1 is needed; that is why every structural must be boxed, and why
+:func:`build_standard_form` rejects a bound that is not finite.  The warm
+start is a parent's optimal :class:`Basis`: a branch-and-bound child
+differs from its parent only in a structural bound, so the parent's basis
+stays dual feasible and ``solve_lp(..., warm=parent.basis)`` re-optimizes
+from it.
 
-Every optimal solution carries its final :class:`Basis`.  A branch-and-bound
-child differs from its parent only in a structural bound, so the parent's
-basis stays dual feasible and ``solve_lp(..., warm=parent.basis)``
-re-optimizes with a bounded dual simplex instead, on a factorized basis
-and without a tableau.  A basic slack's column is a signed unit column, so
-only the k x k block of basic structural columns over the rows whose slack
-is nonbasic is inverted (k = 45-115 against m = 345-427 rows on the
-children of the benchmark's deep NSF and COST239 solves).  ``B^-1`` is
-applied in block form through that inverse, and each dual pivot appends
-one eta vector (product form).  Row r of ``B^-1 A`` is ``e_r B^-1 A`` over
-the nonzero entries of ``e_r B^-1``, and the entering column is
-``B^-1 a_q``.  The block is inverted by Gauss-Jordan exchanges in
-elementwise numpy, not LAPACK: the first LAPACK call of a process pages in
-about 0.5 MB, which showed as +0.5 MB of peak memory on the deep NSF
-benchmark workload.  Inverting the block is about 30 % of a warm child's
-time (2.1 of 7.2 ms a child, replaying those children on a 2-core host),
-and a child peaks at about 1.1 MB of live arrays, where rebuilding its
-m x ncols tableau would peak at 3.0 MB.
+The leaving row maximizes ``infeas_i**2 / w_i`` over the primal
+infeasibilities beyond 1e-9.  On the cold start ``w_i`` is the exact dual
+steepest-edge weight ``||e_i B^-1||**2`` (Forrest & Goldfarb 1992): 1 for
+the slack basis, whose ``B`` is ``diag(+-1)``, then updated at each pivot
+with one extra ``ftran`` of the leaving row of ``B^-1``.  An update that
+falls below its Cauchy-Schwarz lower bound ``(alpha_i / alpha_r)**2 /
+||a_p||**2``, where ``a_p`` is the leaving column, is raised to it.  The warm
+start keeps ``w = 1``, the largest infeasibility, because a child takes
+few pivots.  The entering column is the smallest dual ratio, ties broken
+by the largest ``|alpha_j|`` and then the lowest index.
 
-Cold pivots touch only the rows where the pivot column is nonzero and the
-columns where the pivot row is nonzero: the rank-1 update would change
-every other entry by exactly zero.  The rest of a cold iteration avoids
-dense passes too.  The reduced costs are recomputed at every iteration,
-but only from the basic rows with a nonzero cost: the basic artificials
-in phase 1, and the basic ``L``/``w`` columns of the WDM models in phase 2.
-Nonbasic columns are tracked by a mask updated at each pivot.  The ratio
-test runs over only the rows where the entering column exceeds 1e-9 in
-magnitude, the only rows that can limit the step.
+A basic slack's column is a signed unit column, so only the k x k block
+of basic structural columns over the rows whose slack is nonbasic is
+inverted (k = 53-104 against m = 345-427 rows on the children of the
+benchmark's deep NSF and COST239 solves; k = 0 at the slack basis).
+``B^-1`` is applied in block form through that inverse, and each pivot
+appends one eta vector (product form).  Every 32 etas the basis is
+factorized afresh and the basic values and reduced costs are recomputed
+from the original ``A``.  Row r of ``B^-1 A`` is ``e_r B^-1 A`` over the
+nonzero entries of ``e_r B^-1``, and the entering column is ``B^-1 a_q``.
+The block is inverted by Gauss-Jordan exchanges in elementwise numpy, not
+LAPACK: the first LAPACK call of a process pages in about 0.5 MB, which
+showed as +0.5 MB of peak memory on the deep NSF benchmark workload.
 
-The cold path is the reference.  A warm attempt falls back to it, and adds
-its pivots to the returned ``iterations``, when the structural block is
-singular (a Gauss-Jordan pivot below 1e-11) or its inverse is not finite,
-on an entering pivot ``(B^-1 a_q)_r`` below 1e-11, when the dual ratio
-test finds no entering column (only the cold path may report
-"infeasible"), at the iteration cap, when the final point misses
-``A x = b`` by more than 1e-7 or leaves its bounds, and when a final
-reduced cost, recomputed from a fresh ``btran``, has the wrong sign.  Cold
-failures raise :class:`SimplexError`; they never return a wrong answer.
+Only the cold start may report "infeasible", and only with a certificate:
+when the ratio test finds no entering column, the row ``e_r B^-1 A x =
+e_r B^-1 b`` must admit no point within the bounds (see
+:func:`_certified`).  A warm attempt falls back to the cold start, and
+adds its pivots to the returned ``iterations``, when the structural block
+is singular (a Gauss-Jordan pivot below 1e-11) or its inverse is not
+finite, on an entering pivot ``(B^-1 a_q)_r`` below 1e-11, when the ratio
+test finds no entering column, after one pivot per standard-form column,
+when the final point misses ``A x = b`` by more than 1e-7 or leaves its
+bounds, and when a final reduced cost, recomputed from a fresh ``btran``,
+has the wrong sign.  The same failures on the cold start, a failed
+certificate, or more than four pivots per column, raise
+:class:`SimplexError`; they never return a wrong answer.
 """
 
 from __future__ import annotations
@@ -64,23 +61,27 @@ from dataclasses import dataclass
 import numpy as np
 
 FEAS_TOL = 1e-9
-RC_TOL = 1e-9
 PIVOT_TOL = 1e-11
 WARM_TOL = 1e-7
-DEGENERATE_LIMIT = 1000
-MAX_ITER = 200_000
+REFACTOR_ETAS = 32
+COLD_PIVOTS_PER_COLUMN = 4
 
 AT_LOWER = 0
 AT_UPPER = 1
 
 
 class SimplexError(RuntimeError):
-    """Numerical breakdown or iteration explosion; the caller must abort."""
+    """Numerical breakdown or iteration explosion; the caller must abort.
+    ``pivots`` counts the pivots made before it."""
+
+    def __init__(self, message: str, pivots: int = 0) -> None:
+        super().__init__(message)
+        self.pivots = pivots
 
 
 @dataclass(frozen=True)
 class Basis:
-    """An optimal basis over standard-form columns (structurals, then slacks)."""
+    """A basis over standard-form columns (structurals, then slacks)."""
 
     columns: np.ndarray  # the basic column of each row
     at_upper: np.ndarray  # per column: nonbasic at its upper bound
@@ -88,7 +89,7 @@ class Basis:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     value: float
     x: np.ndarray | None
     iterations: int
@@ -115,7 +116,11 @@ def build_standard_form(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> StandardForm:
-    """rows are (terms, relation, rhs) with relation one of '<=', '>=', '='."""
+    """rows are (terms, relation, rhs) with relation one of '<=', '>=', '='.
+    Raises ``ValueError`` on a structural bound that is not finite: the cold
+    start is dual feasible only when every structural is boxed."""
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("every structural bound must be finite")
     m = len(rows)
     total = n_struct + m
     a = np.zeros((m, total))
@@ -144,22 +149,6 @@ def build_standard_form(
     return StandardForm(a=a, b=b, c=c, lower=lo, upper=up, n_struct=n_struct)
 
 
-def _pivot(tableau: np.ndarray, leave: int, j: int) -> np.ndarray:
-    """Make column j the unit column of row ``leave`` in place; returns the
-    columns it changed, the nonzeros of the pivot row.  Every other column
-    is left bit-identical."""
-    pivot = tableau[leave, j]
-    if abs(pivot) < PIVOT_TOL:
-        raise SimplexError("pivot element vanished")
-    cols = np.flatnonzero(tableau[leave])
-    prow = tableau[leave, cols] / pivot
-    tableau[leave, cols] = prow
-    rows = np.flatnonzero(tableau[:, j])
-    rows = rows[rows != leave]
-    tableau[rows[:, None], cols] -= tableau[rows, j][:, None] * prow
-    return cols
-
-
 def solve_lp(
     form: StandardForm,
     lower_override: np.ndarray | None = None,
@@ -167,7 +156,8 @@ def solve_lp(
     warm: Basis | None = None,
 ) -> LpSolution:
     """Optimize under the overridden structural bounds; ``warm`` is a basis
-    that is optimal for the same form under bounds these only tighten."""
+    that is optimal for the same form under bounds these only tighten.
+    Raises :class:`SimplexError` when the cold start breaks down."""
     lo = form.lower.copy()
     up = form.upper.copy()
     if lower_override is not None:
@@ -176,182 +166,29 @@ def solve_lp(
         up[: form.n_struct] = upper_override
     if np.any(lo > up + FEAS_TOL):
         return LpSolution(status="infeasible", value=np.inf, x=None, iterations=0)
-    if warm is None:
-        return _two_phase(form, lo, up)
-    sol, pivots = _dual_simplex(form, lo, up, warm)
-    if sol is None:
-        sol = _two_phase(form, lo, up)
-        sol.iterations += pivots
+    pivots = 0
+    if warm is not None:
+        sol, pivots = _dual_simplex(form, lo, up, warm)
+        if sol is not None:
+            return sol
+    n, m = form.n_struct, form.a.shape[0]
+    at_upper = np.zeros(n + m, dtype=bool)
+    at_upper[:n] = form.c[:n] < 0
+    sol = _run(form, lo, up, Basis(columns=np.arange(n, n + m), at_upper=at_upper), cold=True)
+    sol.iterations += pivots
     return sol
 
 
-def _two_phase(form: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution:
-    """Cold two-phase bounded primal simplex from the slack basis."""
-    m, total = form.a.shape
-    # All columns start nonbasic at their (finite) lower bound; the slack
-    # absorbs each row's residual where its bounds allow, otherwise an
-    # artificial column takes over.
-    residual = form.b - form.a @ lo[:total]
-    basis = np.empty(m, dtype=np.int64)
-    art_rows: list[int] = []
-    for i in range(m):
-        slack = total - m + i
-        coef = form.a[i, slack]
-        val = residual[i] / coef
-        if lo[slack] - FEAS_TOL <= val <= up[slack] + FEAS_TOL:
-            basis[i] = slack
-        else:
-            basis[i] = -1
-            art_rows.append(i)
-
-    n_art = len(art_rows)
-    ncols = total + n_art
-    tableau = np.zeros((m, ncols))
-    tableau[:, :total] = form.a
-    lo_full = np.concatenate([lo, np.zeros(n_art)])
-    up_full = np.concatenate([up, np.full(n_art, np.inf)])
-    for k, i in enumerate(art_rows):
-        tableau[i, total + k] = 1.0 if residual[i] >= 0 else -1.0
-        basis[i] = total + k
-
-    status = np.full(ncols, AT_LOWER, dtype=np.int8)
-    beta = residual.copy()
-    for i in range(m):
-        pivot = tableau[i, basis[i]]
-        if pivot != 1.0:
-            tableau[i] /= pivot
-            beta[i] /= pivot
-
-    movable = (up_full - lo_full) > FEAS_TOL
-    nonbasic = np.ones(ncols, dtype=bool)
-    nonbasic[basis] = False
-    # Squared column norms for steepest edge, kept exact: a pivot changes
-    # only the columns _pivot returns, and only those are recomputed.
-    norms = np.einsum("ij,ij->j", tableau, tableau)
-    iterations = 0
-
-    def run_phase(cost: np.ndarray, banned: np.ndarray) -> str:
-        nonlocal iterations, beta
-        degenerate_run = 0
-        use_bland = False
-        eligible = movable & ~banned
-        while True:
-            iterations += 1
-            if iterations > MAX_ITER:
-                raise SimplexError("iteration limit exceeded")
-            # Only the basic rows with a nonzero cost contribute to z.
-            cb = cost[basis]
-            costed = np.flatnonzero(cb)
-            z = cost - cb[costed] @ tableau[costed]
-            # A column improves by rising from its lower bound (z < 0) or
-            # falling from its upper bound (z > 0).
-            gain = np.where(status == AT_LOWER, -z, z)
-            candidates = np.flatnonzero(eligible & nonbasic & (gain > RC_TOL))
-            if candidates.size == 0:
-                return "optimal"
-            if use_bland:
-                j = int(candidates[0])
-            else:
-                # Exact steepest edge: the reduced cost per unit length of
-                # the edge (1, -T[:, j]) the entering column moves along.
-                score = z[candidates] ** 2 / (1.0 + norms[candidates])
-                j = int(candidates[int(np.argmax(score))])
-            direction = 1.0 if status[j] == AT_LOWER else -1.0
-            d = tableau[:, j] * direction
-
-            # Rows where |d| <= FEAS_TOL put no limit on the step.
-            live = np.flatnonzero(np.abs(d) > FEAS_TOL)
-            dl = d[live]
-            held = basis[live]
-            bt = beta[live]
-            # A basic variable falls to its lower bound (d > 0) or rises to
-            # its upper bound (d < 0); an infinite upper bound never binds.
-            gap = np.where(dl > 0, bt - lo_full[held], up_full[held] - bt)
-            t_rows = np.maximum(gap, 0.0) / np.abs(dl)
-            t_min = float(t_rows.min()) if live.size else np.inf
-            t_flip = up_full[j] - lo_full[j]
-
-            if not np.isfinite(min(t_min, t_flip)):
-                return "unbounded"
-
-            if t_min <= t_flip + FEAS_TOL:
-                tied = np.flatnonzero(t_rows <= t_min + FEAS_TOL)
-                k = int(tied[int(np.argmin(held[tied]))])
-                leave = int(live[k])
-                t_step = float(t_rows[k])
-            else:
-                leave = -1
-                t_step = float(t_flip)
-
-            if t_step <= FEAS_TOL:
-                degenerate_run += 1
-                if degenerate_run >= DEGENERATE_LIMIT:
-                    use_bland = True
-            else:
-                degenerate_run = 0
-
-            if leave == -1:
-                beta = beta - d * t_step
-                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
-                continue
-
-            enter_val = (lo_full[j] if status[j] == AT_LOWER else up_full[j]) + direction * t_step
-            leaving = basis[leave]
-            status[leaving] = AT_LOWER if d[leave] > 0 else AT_UPPER
-            beta = beta - d * t_step
-            beta[leave] = enter_val
-            basis[leave] = j
-            nonbasic[leaving] = True
-            nonbasic[j] = False
-            changed = _pivot(tableau, leave, j)
-            block = tableau[:, changed]
-            norms[changed] = np.einsum("ij,ij->j", block, block)
-            # Free the gathered columns before the next pivot allocates its
-            # temporaries: held through it, they raised a batch's peak RSS
-            # by about 0.35 MB on NSF |D|=1 and 1.3 MB on COST239 |D|=3.
-            del block
-
-    def current_x(cost_len: int) -> np.ndarray:
-        x = np.where(status == AT_UPPER, up_full, lo_full).astype(float)
-        x[~np.isfinite(x)] = 0.0
-        x[basis] = beta
-        return x[:cost_len]
-
-    banned = np.zeros(ncols, dtype=bool)
-    if n_art:
-        phase1_cost = np.zeros(ncols)
-        phase1_cost[total:] = 1.0
-        outcome = run_phase(phase1_cost, banned)
-        if outcome == "unbounded":
-            raise SimplexError("feasibility phase reported unbounded")
-        art_total = float(current_x(ncols)[total:].sum())
-        if art_total > 1e-7:
-            return LpSolution(status="infeasible", value=np.inf, x=None, iterations=iterations)
-        up_full[total:] = 0.0
-        movable[total:] = False
-        banned[total:] = True
-
-    phase2_cost = np.concatenate([form.c, np.zeros(n_art)])
-    outcome = run_phase(phase2_cost, banned)
-    if outcome == "unbounded":
-        return LpSolution(status="unbounded", value=-np.inf, x=None, iterations=iterations)
-
-    x_full = current_x(ncols)
-    value = float(phase2_cost @ x_full)
-    # An artificial still basic (at zero) is +-e_i, the column of row i's
-    # slack up to sign, and that slack cannot be basic too: export it.
-    columns = basis.copy()
-    art = columns >= total
-    columns[art] = form.n_struct + np.asarray(art_rows)[columns[art] - total]
-    at_upper = status[:total] == AT_UPPER
-    at_upper[columns] = False
-    return LpSolution(
-        status="optimal",
-        value=value,
-        x=x_full[: form.n_struct].copy(),
-        iterations=iterations,
-        basis=Basis(columns=columns, at_upper=at_upper),
-    )
+def _dual_simplex(
+    form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis
+) -> tuple[LpSolution | None, int]:
+    """The warm attempt from ``warm``; returns (None, pivots spent) when it
+    must fall back to the cold start."""
+    try:
+        sol = _run(form, lo, up, warm, cold=False)
+    except SimplexError as err:
+        return None, err.pivots
+    return sol, sol.iterations
 
 
 def _invert(block: np.ndarray) -> np.ndarray:
@@ -445,38 +282,49 @@ class _Factor:
         self.etas.append((r, eta))
 
 
-def _dual_simplex(
-    form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis
-) -> tuple[LpSolution | None, int]:
-    """Bounded dual simplex from ``warm``; returns (None, pivots spent) when
-    the attempt must fall back to the cold path."""
+def _run(form: StandardForm, lo: np.ndarray, up: np.ndarray, start: Basis, cold: bool) -> LpSolution:
+    """The bounded dual simplex from ``start``, which must be dual feasible.
+    ``cold`` turns on dual steepest-edge pricing, the looser pivot cap and
+    the certified "infeasible".  Raises :class:`SimplexError`, with the
+    pivots made, on any breakdown."""
     m, total = form.a.shape
     n = form.n_struct
-    try:
-        factor = _Factor(form.a, warm.columns, n)
-    except np.linalg.LinAlgError:
-        return None, 0
-    basis = warm.columns.copy()
-    status = np.where(warm.at_upper & np.isfinite(up), AT_UPPER, AT_LOWER).astype(np.int8)
+    a = form.a
+    basis = start.columns.copy()
+    status = np.where(start.at_upper & np.isfinite(up), AT_UPPER, AT_LOWER).astype(np.int8)
     nonbasic = np.ones(total, dtype=bool)
     nonbasic[basis] = False
-    x = np.where(nonbasic & (status == AT_UPPER), up, lo)
-    x[basis] = 0.0
-    beta = factor.ftran(form.b - form.a @ x)
-    d = form.c - factor.btran(form.c[basis]) @ form.a
     movable = (up - lo) > FEAS_TOL
-    if not _dual_feasible(d, status, movable & nonbasic):
-        return None, 0
-
     pivots = 0
+
+    def factorize() -> tuple[_Factor, np.ndarray, np.ndarray]:
+        """A fresh factor of the basis, with the basic values and reduced
+        costs recomputed from the original ``A``."""
+        try:
+            factor = _Factor(a, basis, n)
+        except np.linalg.LinAlgError as err:
+            raise SimplexError(str(err), pivots) from None
+        x = np.where(status == AT_UPPER, up, lo)
+        x[basis] = 0.0
+        return factor, factor.ftran(form.b - a @ x), form.c - factor.btran(form.c[basis]) @ a
+
+    factor, beta, d = factorize()
+    if not _dual_feasible(d, status, movable & nonbasic):
+        raise SimplexError("start is not dual feasible")
+    # One pivot per column is a generous warm budget: longer is cycling.
+    limit = COLD_PIVOTS_PER_COLUMN * total if cold else total
+    weights = np.ones(m)
     unit = np.zeros(m)
     while True:
+        if len(factor.etas) >= REFACTOR_ETAS:
+            factor, beta, d = factorize()
         infeas = np.maximum(lo[basis] - beta, beta - up[basis])
-        r = int(np.argmax(infeas))
-        if infeas[r] <= FEAS_TOL:
+        infeas[infeas <= FEAS_TOL] = 0.0
+        r = int(np.argmax(infeas * infeas / weights))
+        if infeas[r] == 0.0:
             break
-        if pivots >= total:  # one pivot per column: longer is cycling
-            return None, pivots
+        if pivots >= limit:
+            raise SimplexError("pivot cap reached", pivots)
         leaving = int(basis[r])
         to_upper = beta[r] > up[leaving]
         # Row r of B^-1 A, over the rows where row r of B^-1 is nonzero.
@@ -484,21 +332,24 @@ def _dual_simplex(
         rho = factor.btran(unit)
         unit[r] = 0.0
         rows = np.flatnonzero(rho)
-        alpha = rho[rows] @ form.a[rows]
+        alpha = rho[rows] @ a[rows]
         s = alpha if to_upper else -alpha
-        eligible = movable & nonbasic
         at_lo = status == AT_LOWER
-        cand = np.flatnonzero(eligible & ((at_lo & (s > FEAS_TOL)) | (~at_lo & (s < -FEAS_TOL))))
+        cand = np.flatnonzero(movable & nonbasic & ((at_lo & (s > FEAS_TOL)) | (~at_lo & (s < -FEAS_TOL))))
         if cand.size == 0:
-            return None, pivots
+            if cold and _certified(alpha, rho[rows] @ form.b[rows], basis, r, lo, up):
+                return LpSolution(status="infeasible", value=np.inf, x=None, iterations=pivots)
+            raise SimplexError("dual ratio test found no entering column", pivots)
         ratios = np.maximum(np.where(at_lo[cand], d[cand], -d[cand]), 0.0) / np.abs(s[cand])
         tied = cand[ratios <= ratios.min() + FEAS_TOL]
         q = int(tied[int(np.argmax(np.abs(alpha[tied])))])
 
         pivots += 1
-        col = factor.ftran(form.a[:, q])
+        col = factor.ftran(a[:, q])
         if abs(col[r]) < PIVOT_TOL:
-            return None, pivots
+            raise SimplexError("pivot element vanished", pivots)
+        if cold:
+            _update_weights(weights, r, col, factor.ftran(rho), a[:, leaving] @ a[:, leaving])
         step = (beta[r] - (up[leaving] if to_upper else lo[leaving])) / alpha[q]
         enter_val = (lo[q] if status[q] == AT_LOWER else up[q]) + step
         theta = d[q] / alpha[q]
@@ -517,25 +368,55 @@ def _dual_simplex(
     x[basis] = beta
     if (
         not np.all(np.isfinite(x))
-        or np.max(np.abs(form.a @ x - form.b), initial=0.0) > WARM_TOL
+        or np.max(np.abs(a @ x - form.b), initial=0.0) > WARM_TOL
         or np.any(x < lo - WARM_TOL)
         or np.any(x > up + WARM_TOL)
     ):
-        return None, pivots
-    d = form.c - factor.btran(form.c[basis]) @ form.a
+        raise SimplexError("final point drifted off A x = b or its bounds", pivots)
+    d = form.c - factor.btran(form.c[basis]) @ a
     if not _dual_feasible(d, status, movable & nonbasic):
-        return None, pivots
-    at_upper = nonbasic & (status == AT_UPPER)
-    return (
-        LpSolution(
-            status="optimal",
-            value=float(form.c @ x),
-            x=x[:n].copy(),
-            iterations=pivots,
-            basis=Basis(columns=basis, at_upper=at_upper),
-        ),
-        pivots,
+        raise SimplexError("final reduced costs are not dual feasible", pivots)
+    return LpSolution(
+        status="optimal",
+        value=float(form.c @ x),
+        x=x[:n].copy(),
+        iterations=pivots,
+        basis=Basis(columns=basis, at_upper=nonbasic & (status == AT_UPPER)),
     )
+
+
+def _update_weights(w: np.ndarray, r: int, col: np.ndarray, tau: np.ndarray, leaving_norm2: float) -> None:
+    """Dual steepest-edge weights ``w_i = ||e_i B^-1||**2`` after the pivot
+    in row r, in place (Forrest & Goldfarb 1992).  ``col`` is the entering
+    column's ``ftran``, ``tau`` the ``ftran`` of ``rho = e_r B^-1`` (so
+    ``w_r = ||rho||**2``) and ``leaving_norm2`` the leaving column's squared
+    norm.  Row i of the new inverse is ``e_i B^-1 - (col_i / col_r) rho``,
+    and its product with the leaving column is ``-col_i / col_r``, so by
+    Cauchy-Schwarz no weight is below ``(col_i / col_r)**2 / leaving_norm2``;
+    a rounded update is raised to that bound."""
+    w_r = w[r]
+    ratio = col / col[r]
+    nz = np.flatnonzero(ratio)
+    k = ratio[nz]
+    w[nz] = np.maximum(w[nz] - 2.0 * k * tau[nz] + k * k * w_r, k * k / leaving_norm2)
+    w[r] = w_r / (col[r] * col[r])
+
+
+def _certified(alpha: np.ndarray, rhs: float, basis: np.ndarray, r: int, lo: np.ndarray, up: np.ndarray) -> bool:
+    """True when the row ``alpha . x = rhs``, row r of ``B^-1 A x = B^-1 b``,
+    proves the LP infeasible: ``rhs`` lies more than ``WARM_TOL`` outside
+    the range of ``alpha . x`` over the bounds.  Entries within ``FEAS_TOL``
+    of zero count as zero, and the basic columns' entries as the unit row
+    they are in exact arithmetic."""
+    alpha = np.where(np.abs(alpha) > FEAS_TOL, alpha, 0.0)
+    alpha[basis] = 0.0
+    alpha[basis[r]] = 1.0
+    nz = np.flatnonzero(alpha)
+    coef = alpha[nz]
+    pos = coef > 0
+    least = coef @ np.where(pos, lo[nz], up[nz])
+    most = coef @ np.where(pos, up[nz], lo[nz])
+    return bool(rhs < least - WARM_TOL or rhs > most + WARM_TOL)
 
 
 def _dual_feasible(d: np.ndarray, status: np.ndarray, free: np.ndarray) -> bool:
