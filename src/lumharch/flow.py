@@ -117,15 +117,13 @@ def service_flow(
     source: str,
     destinations: frozenset[str],
     demand_cap: int,
-    consuming: dict[int, frozenset[str]] | None = None,
 ) -> dict[tuple[str, str, int], int] | None:
     """Find integral link flows realizing the multicast service, or None.
 
     ``structures`` is a list of (wavelength, used directed links).  Every
     used link must carry between 1 and ``demand_cap`` units; non-destination
     nodes conserve flow per wavelength; each destination absorbs exactly one
-    unit in total and at most one per wavelength.  If ``consuming`` is given
-    it pins, per wavelength, exactly which destinations absorb there.
+    unit in total and at most one per wavelength.
     """
     arcs: list[Arc] = []
     src = ("S*",)
@@ -139,13 +137,9 @@ def service_flow(
             arcs.append((("n", u, lam), ("n", v, lam), 1, demand_cap))
             present.add(u)
             present.add(v)
-        if consuming is None:
-            for d in sorted(destinations):
-                if d in present:
-                    arcs.append((("n", d, lam), ("d", d), 0, 1))
-        else:
-            for d in sorted(consuming.get(lam, frozenset())):
-                arcs.append((("n", d, lam), ("d", d), 1, 1))
+        for d in sorted(destinations):
+            if d in present:
+                arcs.append((("n", d, lam), ("d", d), 0, 1))
 
     balances: dict[object, int] = {src: len(destinations)}
     for d in sorted(destinations):

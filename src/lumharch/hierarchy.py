@@ -7,11 +7,14 @@ node to be crossed several times through distinct input/output port pairs
 (Cross Pair Switching), which makes cycles legal as long as no directed
 link repeats.
 
-``validate`` classifies a whole structure set against the structural
-rules (identified as ``a``, ``b``, ``d``, ``e``, ``f``), root
-reachability (``connectivity``), and the service rule that every
-destination absorbs the signal exactly once (``service``).  Violations
-are reported exhaustively; they are data, not exceptions.
+``structure_violations`` holds the rules one structure must meet on its
+own (identified as ``a``, ``b``, ``e``, ``f``, and root reachability,
+``connectivity``); the validator, the brute-force oracle and the solver's
+greedy seed all use it.  ``validate`` classifies a whole structure set:
+those rules per structure, plus the wavelength rule (``d``) and the
+service rule that every destination absorbs the signal exactly once
+(``service``).  Violations are reported exhaustively; they are data, not
+exceptions.
 """
 
 from __future__ import annotations
@@ -108,11 +111,19 @@ def _resolve(net: Network, ls: LightStructure) -> None:
             raise ValueError(f"no fiber link {u}->{v} in the network")
 
 
-def _structure_violations(
+def structure_violations(
     net: Network, ls: LightStructure, destinations: frozenset[str]
 ) -> list[Violation]:
-    """Per-structure rules: link uniqueness (a), predecessor links (b), the
-    opposite-pair rule (e), and per-node port counting (f)."""
+    """Every violation of the rules one structure must meet on its own.
+
+    In report order: link uniqueness (a), the opposite-pair rule (e),
+    predecessor links (b), per-node port counting (f), which is what lets
+    an MI node be crossed through several port pairs, then
+    ``connectivity``: the structure has links and each is reachable from
+    ``ls.root``, the structure's source.  Only ``destinations`` may absorb
+    a signal.  The rules that span structures, (d) and ``service``, belong
+    to :func:`validate`.
+    """
     out: list[Violation] = []
     lam = ls.wavelength
 
@@ -164,6 +175,13 @@ def _structure_violations(
         if m not in destinations and indeg[m] >= 1 and outdeg[m] == 0:
             out.append(Violation("f", m, "non-destination node is a leaf"))
 
+    if not ls.links:
+        out.append(Violation("connectivity", f"wavelength {lam}", "structure has no links"))
+        return out
+    for u, v in sorted(set(ls.links) - _reachable_links(ls.root, set(ls.links))):
+        out.append(
+            Violation("connectivity", f"{u}->{v}", f"link not reachable from source {ls.root} on wavelength {lam}")
+        )
     return out
 
 
@@ -182,7 +200,15 @@ def _reachable_links(root: str, links: set[Link]) -> set[Link]:
 
 
 def validate(net: Network, lss: LightStructureSet) -> ValidationReport:
-    """Check a structure set; rule violations are reported, never raised."""
+    """Check a structure set; rule violations are reported, never raised.
+
+    Per structure, in input order: the wavelength rules (d), the root
+    being the session source (f), then :func:`structure_violations`.
+    Then, over the whole set, the service rule: every destination
+    receives a signal, and one signal accounting lets each absorb exactly
+    one copy.  Raises ``ValueError`` only for ids or links missing from
+    ``net``.
+    """
     session = lss.session
     if session.source not in net.index:
         raise ValueError(f"unknown source {session.source!r}")
@@ -206,19 +232,7 @@ def validate(net: Network, lss: LightStructureSet) -> ValidationReport:
                 Violation("f", ls.root, f"structure rooted at {ls.root}, session source is {session.source}")
             )
 
-        violations.extend(_structure_violations(net, ls, dests))
-
-        if not ls.links:
-            violations.append(Violation("connectivity", f"wavelength {ls.wavelength}", "structure has no links"))
-            continue
-        for u, v in sorted(set(ls.links) - _reachable_links(ls.root, set(ls.links))):
-            violations.append(
-                Violation(
-                    "connectivity",
-                    f"{u}->{v}",
-                    f"link not reachable from source {session.source} on wavelength {ls.wavelength}",
-                )
-            )
+        violations.extend(structure_violations(net, ls, dests))
 
     # Service rule: an integral signal accounting must exist in which every
     # destination absorbs exactly one copy across the whole set.

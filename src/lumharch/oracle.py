@@ -1,11 +1,12 @@
 """Brute-force optimum finder for tiny instances.
 
 Independent of the ILP route: candidate structures are enumerated as
-reachability-grown directed link subsets, filtered by the validator's
-structural rules and the signal-accounting flow check, and combined over
-all ways of splitting the destination set across wavelengths.  Used to
-cross-check the solver, so it shares only the validator semantics with
-it, not the LP machinery.
+reachability-grown directed link subsets, filtered by the validator's own
+rule function (``hierarchy.structure_violations``, plus
+``hierarchy.is_light_tree`` in LT mode) and the signal-accounting flow
+check, and combined over all ways of splitting the destination set
+across wavelengths.  Used to cross-check the solver, so it shares only
+that rule function with it, never the ILP model or the LP machinery.
 
 Guarded to |V| <= 8, |W| <= 2, |D| <= 3; this is a test oracle, not a
 production solver.
@@ -55,43 +56,6 @@ def _set_partitions(items: tuple[str, ...], max_parts: int):
             yield sub[:i] + [(first,) + sub[i]] + sub[i + 1 :]
         if len(sub) < max_parts:
             yield [(first,)] + sub
-
-
-def _quick_degree_ok(
-    net: Network,
-    links: tuple[tuple[str, str], ...],
-    source: str,
-    destinations: frozenset[str],
-    mode: Mode,
-) -> bool:
-    """Cheap structural screen equivalent to the per-structure rules."""
-    indeg: dict[str, int] = {}
-    outdeg: dict[str, int] = {}
-    for u, v in links:
-        outdeg[u] = outdeg.get(u, 0) + 1
-        indeg[v] = indeg.get(v, 0) + 1
-    if indeg.get(source, 0) > 0:
-        return False
-    for m in set(indeg) | set(outdeg):
-        if m == source:
-            continue
-        i, o = indeg.get(m, 0), outdeg.get(m, 0)
-        if o > 0 and i == 0:
-            return False
-        if net.is_mc(m):
-            if i > 1:
-                return False
-        elif m in destinations:
-            if o > i:
-                return False
-        else:
-            if o != i:
-                return False
-        if m not in destinations and i >= 1 and o == 0:
-            return False
-        if mode is Mode.LT and (i > 1 or (not net.is_mc(m) and o > 1)):
-            return False
-    return True
 
 
 class _SingleSearch:
@@ -181,20 +145,17 @@ class _SingleSearch:
             return
         if any(d not in reached for d in self.consume):
             return
-        links = tuple(chosen)
-        if not _quick_degree_ok(self.net, links, self.ms.source, self.ms.destinations, self.mode):
+        ls = LightStructure(wavelength=0, root=self.ms.source, links=tuple(chosen))
+        if hierarchy.structure_violations(self.net, ls, self.ms.destinations):
             return
-        flows = service_flow(
-            [(0, links)],
-            self.ms.source,
-            self.consume,
-            len(self.ms.destinations),
-            consuming={0: self.consume},
-        )
-        if flows is None:
+        if self.mode is Mode.LT and not hierarchy.is_light_tree(ls):
+            return
+        # With only ``consume`` as destinations, each of them must absorb
+        # here and no other destination may.
+        if service_flow([(0, ls.links)], self.ms.source, self.consume, len(self.ms.destinations)) is None:
             return
         self.best_cost = cost
-        self.best_links = tuple(sorted(links))
+        self.best_links = tuple(sorted(ls.links))
 
 
 def _guard(net: Network, ms: MulticastSession) -> None:
@@ -301,11 +262,6 @@ def enumerate_optimal_unpruned(
         cost = sum(net.link_cost[l] for ls in structures for l in ls.links)
         waves = len(structures)
         if best_cost is not None and (cost, waves) >= (best_cost, best_waves):
-            continue
-        if not all(
-            _quick_degree_ok(net, ls.links, ms.source, ms.destinations, mode)
-            for ls in structures
-        ):
             continue
         if mode is Mode.LT and not all(hierarchy.is_light_tree(ls) for ls in structures):
             continue

@@ -120,9 +120,7 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
         for lam in range(net.wavelengths):
             cand = list(dict.fromkeys(per_wave[lam] + path_links))
             ls = hierarchy.LightStructure(wavelength=lam, root=ms.source, links=tuple(cand))
-            if hierarchy._structure_violations(net, ls, ms.destinations):
-                continue
-            if set(cand) - hierarchy._reachable_links(ms.source, set(cand)):
+            if hierarchy.structure_violations(net, ls, ms.destinations):
                 continue
             if model.mode is Mode.LT and not hierarchy.is_light_tree(ls):
                 continue
@@ -207,9 +205,6 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
                 file=sys.stderr,
             )
         if sol.status == "infeasible":
-            continue
-        if sol.status != "optimal":
-            numerical_trouble = True
             continue
         if incumbent_obj is not None and math.ceil(sol.value - INT_TOL) >= incumbent_obj:
             continue

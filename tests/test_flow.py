@@ -79,11 +79,12 @@ def test_service_flow_pass_through_destination_is_fine():
 
 
 def test_service_flow_pinned_consumption():
-    # d1 present but pinned to consume elsewhere: it must pass through,
-    # which a leaf position cannot do.
+    # The oracle pins which destinations absorb on a structure by passing
+    # only those as destinations.  d1 present but consuming elsewhere must
+    # pass through, which a leaf position cannot do.
     links = (("s", "d1"),)
-    assert service_flow([(0, links)], "s", frozenset({"d1"}), 2, consuming={0: frozenset()}) is None
-    assert service_flow([(0, links)], "s", frozenset({"d1"}), 2, consuming={0: frozenset({"d1"})}) is not None
+    assert service_flow([(0, links)], "s", frozenset(), 2) is None
+    assert service_flow([(0, links)], "s", frozenset({"d1"}), 2) is not None
 
 
 def test_service_flow_structure_with_no_consumption_is_rejected():

@@ -62,6 +62,29 @@ def test_fig5_false_result_fails_connectivity(fig5, fig5_session):
     assert "d2" in messages and "d3" in messages
 
 
+def test_connectivity_messages_name_the_structure_root(fig5, fig5_session):
+    floating = LightStructure(wavelength=0, root="s", links=(("s", "d1"), ("d2", "d3"), ("d3", "d2")))
+    report = validate(fig5, LightStructureSet(session=fig5_session, structures=(floating,)))
+    assert str(report) == (
+        "[connectivity] d2->d3: link not reachable from source s on wavelength 0\n"
+        "[connectivity] d3->d2: link not reachable from source s on wavelength 0\n"
+        "[service] set: no signal accounting lets every destination absorb exactly one copy"
+    )
+    # Reachability is checked from the structure's root, d1, which the
+    # message names: s->d1 leaves the session source but not the root.
+    rooted_d1 = LightStructure(wavelength=0, root="d1", links=(("d1", "d2"), ("s", "d1")))
+    report = validate(fig5, LightStructureSet(session=fig5_session, structures=(rooted_d1,)))
+    assert str(report) == (
+        "[f] d1: structure rooted at d1, session source is s\n"
+        "[b] s->d1: link has no predecessor link into s\n"
+        "[f] s: MI node has 0 incoming but 1 outgoing links\n"
+        "[f] d1: root must not have incoming links\n"
+        "[connectivity] s->d1: link not reachable from source d1 on wavelength 0\n"
+        "[service] d3: destination receives no signal in any structure\n"
+        "[service] set: no signal accounting lets every destination absorb exactly one copy"
+    )
+
+
 def test_single_link_unicast_ok(fig5):
     ms = make_session(fig5, "s", ["d1"])
     ls = LightStructure(wavelength=0, root="s", links=(("s", "d1"),))
