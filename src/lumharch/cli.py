@@ -86,6 +86,10 @@ class ExperimentConfig:
     timing: bool = False
     forced_sessions: tuple[MulticastSession, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if not self.modes or len(set(self.modes)) < len(self.modes):
+            raise ValueError(f"modes must be non-empty and distinct, got {[m.value for m in self.modes]}")
+
 
 @dataclass
 class MetricsRow:

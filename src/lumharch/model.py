@@ -354,10 +354,12 @@ def _wrap(prefix: str, tokens: list[str], per_line: int = 12) -> list[str]:
 def import_solution(model: IlpModel, text: str) -> Assignment:
     """Read `name value` lines into an assignment.
 
-    Unknown names are rejected; values must be integral within 1e-6 and
-    inside the declared bounds.  Variables not mentioned default to 0.
+    Unknown names and names given twice are rejected; values must be
+    integral within 1e-6 and inside the declared bounds.  Variables not
+    mentioned default to 0.
     """
     values = [0] * len(model.vars)
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -369,6 +371,9 @@ def import_solution(model: IlpModel, text: str) -> Assignment:
         var = model.by_name.get(name)
         if var is None:
             raise ValueError(f"line {line_no}: unknown variable {name!r}")
+        if name in first_line:
+            raise ValueError(f"line {line_no}: variable {name!r} already given on line {first_line[name]}")
+        first_line[name] = line_no
         try:
             x = float(raw_val)
         except ValueError:

@@ -35,17 +35,15 @@ appends one eta vector (product form).  Every 32 etas the basis is
 factorized afresh and the basic values and reduced costs are recomputed
 from the original ``A``.  Row r of ``B^-1 A`` is ``e_r B^-1 A`` over the
 nonzero entries of ``e_r B^-1``, and the entering column is ``B^-1 a_q``.
-The block is inverted by Gauss-Jordan exchanges in elementwise numpy, not
-LAPACK: the first LAPACK call of a process pages in about 0.5 MB, which
-showed as +0.5 MB of peak memory on the deep NSF benchmark workload.
+The block is inverted by LAPACK (``np.linalg.inv``).
 
 Only the cold start may report "infeasible", and only with a certificate:
 when the ratio test finds no entering column, the row ``e_r B^-1 A x =
 e_r B^-1 b`` must admit no point within the bounds (see
 :func:`_certified`).  A warm attempt falls back to the cold start, and
 adds its pivots to the returned ``iterations``, when the structural block
-is singular (a Gauss-Jordan pivot below 1e-11) or its inverse is not
-finite, on an entering pivot ``(B^-1 a_q)_r`` below 1e-11, when the ratio
+is singular or nearly so (an entry of its inverse above 1e11, or not
+finite), on an entering pivot ``(B^-1 a_q)_r`` below 1e-11, when the ratio
 test finds no entering column, after one pivot per standard-form column,
 when the final point misses ``A x = b`` by more than 1e-7 or leaves its
 bounds, and when a final reduced cost, recomputed from a fresh ``btran``,
@@ -191,40 +189,6 @@ def _dual_simplex(
     return sol, sol.iterations
 
 
-def _invert(block: np.ndarray) -> np.ndarray:
-    """Inverse of a square block by Gauss-Jordan exchanges with partial
-    pivoting, in elementwise numpy (see the module docstring for why not
-    LAPACK).  Each exchange updates only the rows where the pivot column is
-    nonzero.  Raises ``LinAlgError`` when the block is not square, a pivot
-    falls below ``PIVOT_TOL`` or the result is not finite."""
-    k = block.shape[0]
-    if block.shape[1] != k:
-        raise np.linalg.LinAlgError("basis block is not square")
-    t = block.copy()
-    avail = np.ones(k)
-    order = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        size = np.abs(t[:, j]) * avail
-        i = int(np.argmax(size))
-        if size[i] < PIVOT_TOL:
-            raise np.linalg.LinAlgError("singular basis block")
-        pivot = t[i, j]
-        col = t[:, j] / pivot
-        row = t[i].copy()
-        live = np.flatnonzero(col)
-        t[live] -= np.multiply.outer(col[live], row)
-        t[i] = row / -pivot
-        t[:, j] = col
-        t[i, j] = 1.0 / pivot
-        avail[i] = 0.0
-        order[j] = i
-    if not np.all(np.isfinite(t)):
-        raise np.linalg.LinAlgError("basis inverse is not finite")
-    inv = np.empty_like(t)
-    inv[:, order] = t[order]
-    return inv
-
-
 class _Factor:
     """The inverse of a basis ``A[:, columns]`` in product form: a block
     inverse of the starting basis, then one eta vector per pivot.
@@ -237,7 +201,10 @@ class _Factor:
     entering column has ``ftran`` ``col`` multiplies ``B^-1`` on the left by
     ``I - eta e_r^T``, with ``eta = col / col[r]`` except
     ``eta[r] = 1 - 1 / col[r]``.  Raises ``LinAlgError`` when ``B11`` is
-    singular or its inverse is not finite.
+    singular or nearly so.  LAPACK raises only on an exactly singular block,
+    so an inverse with an entry above ``1 / PIVOT_TOL``, or one that is not
+    finite, is rejected too: for ``[[1, 1], [2, 2 + 1e-13]]`` LAPACK returns
+    a finite inverse with entries near 1e13.
     """
 
     def __init__(self, a: np.ndarray, columns: np.ndarray, n: int) -> None:
@@ -249,7 +216,9 @@ class _Factor:
         free[self.fixed] = False
         self.free = np.flatnonzero(free)
         cols = columns[self.pos_struct]
-        self.inv = _invert(a[np.ix_(self.free, cols)])
+        self.inv = np.linalg.inv(a[np.ix_(self.free, cols)])
+        if not np.all(np.abs(self.inv) <= 1.0 / PIVOT_TOL):
+            raise np.linalg.LinAlgError("basis block is nearly singular")
         self.b21 = a[np.ix_(self.fixed, cols)]
         self.sign = a[self.fixed, n + self.fixed]
         self.etas: list[tuple[int, np.ndarray]] = []

@@ -100,6 +100,12 @@ def test_experiment_lh_only_has_no_lt_rows(fig3_session):
     assert ",LH," in csv_text
 
 
+def test_experiment_config_rejects_empty_or_repeated_modes():
+    for modes in ((), (Mode.LH, Mode.LH), (Mode.LT, Mode.LH, Mode.LT)):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            ExperimentConfig(topology="fig3", modes=modes)
+
+
 def test_experiment_dominance_small_nsf():
     cfg = ExperimentConfig(topology="nsf", group_size=2, session_count=3, seed=5, modes=(Mode.LH, Mode.LT))
     metrics, _ = run_experiment(cfg)
@@ -189,9 +195,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
-def test_input_validation_exit_code(capsys):
+def test_input_validation_exit_code(tmp_path, capsys):
     assert run_cli("solve", "--topology", "nosuch", "--source", "s", "--dest", "d") == 2
     assert run_cli("solve", "--topology", "fig3", "--source", "zz", "--dest", "d1") == 2
+    csv = tmp_path / "out.csv"
+    assert run_cli("batch", "--topology", "fig3", "--group-size", "2", "--modes", ",", "--csv", str(csv)) == 2
+    assert "error: no modes requested" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 def test_compare_command(capsys):

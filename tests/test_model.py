@@ -122,6 +122,8 @@ def test_import_solution_rejects_unknown_and_bounds(fig3, fig3_session):
         import_solution(model, "L_s_1_0 abc\n")
     with pytest.raises(ValueError, match="expected"):
         import_solution(model, "L_s_1_0\n")
+    with pytest.raises(ValueError, match=r"line 3: variable 'L_s_1_0' already given on line 1"):
+        import_solution(model, "L_s_1_0 1\n# comment\nL_s_1_0 0\n")
 
 
 def test_import_solution_accepts_comments_and_blanks(fig3, fig3_session):
