@@ -75,13 +75,24 @@ def feasible_flow(arcs: list[Arc], balances: dict[object, int]) -> list[int] | N
         elif e < 0:
             add(idx[v], idx[snk], -e)
 
-    sent = _max_flow(graph, cap, to, idx[src], idx[snk])
+    sent, _ = _max_flow(graph, cap, to, idx[src], idx[snk])
     if sent != need:
         return None
     return [cap[pos + 1] + arcs[i][2] for i, pos in enumerate(arc_pos)]
 
 
-def _max_flow(graph: list[list[int]], cap: list[int], to: list[int], s: int, t: int) -> int:
+def _max_flow(
+    graph: list[list[int]], cap: list, to: list[int], s: int, t: int, tol: float = 0
+) -> tuple[float, list[bool]]:
+    """Edmonds-Karp max-flow from s to t on the residual arcs ``cap``, which
+    it updates in place (arc ``pos ^ 1`` is the reverse of arc ``pos``).
+
+    A residual capacity counts only above ``tol``: integer capacities with
+    ``tol = 0`` augment exactly, and float capacities take a small positive
+    ``tol``.  Returns the flow value and, per node, whether it is reachable
+    from s in the final residual graph; those nodes are the source side of
+    a minimum cut.
+    """
     total = 0
     n = len(graph)
     while True:
@@ -92,11 +103,11 @@ def _max_flow(graph: list[list[int]], cap: list[int], to: list[int], s: int, t: 
             u = queue.popleft()
             for pos in graph[u]:
                 v = to[pos]
-                if cap[pos] > 0 and parent_arc[v] == -1:
+                if cap[pos] > tol and parent_arc[v] == -1:
                     parent_arc[v] = pos
                     queue.append(v)
         if parent_arc[t] == -1:
-            return total
+            return total, [p != -1 for p in parent_arc]
         bottleneck = None
         v = t
         while v != s:

@@ -15,6 +15,17 @@ differs from its parent only in a structural bound, so the parent's basis
 stays dual feasible and ``solve_lp(..., warm=parent.basis)`` re-optimizes
 from it.
 
+Rows can be appended to a solved LP (``solve_lp(..., separate=...)``,
+which the solver uses for its root cuts).  :func:`append_rows` puts them
+below the old rows and their slacks after the last column, so every old
+row and column keeps its index, and a form built with room to spare takes
+them without copying ``A``.  The last optimal basis extends with the new
+slacks, basic in their own rows.  Their duals are zero, so every reduced
+cost is unchanged and the extended basis is dual feasible; a violated row
+makes its slack primal infeasible, which is the start the warm dual
+simplex takes.  The new rows are basic-slack rows, so the inverted block
+of basic structural columns does not grow.
+
 The leaving row maximizes ``infeas_i**2 / w_i`` over the primal
 infeasibilities beyond 1e-9.  On the cold start ``w_i`` is the exact dual
 steepest-edge weight ``||e_i B^-1||**2`` (Forrest & Goldfarb 1992): 1 for
@@ -54,6 +65,7 @@ certificate, or more than four pivots per column, raise
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +104,19 @@ class LpSolution:
     x: np.ndarray | None
     iterations: int
     basis: Basis | None = None  # set when status is "optimal"
+    form: StandardForm | None = None  # the form solved, appended rows included
+
+
+Row = tuple[tuple[tuple[int, float], ...], str, float]  # (terms, relation, rhs)
 
 
 @dataclass
 class StandardForm:
     """Equality system [A | S] x = b with per-column bounds, built once per
-    model and re-solved under different structural bounds during search."""
+    model and re-solved under different structural bounds during search.
+
+    ``a`` may be the top-left window of a larger zero buffer, whose spare
+    rows and columns :func:`append_rows` fills in place."""
 
     a: np.ndarray  # m rows, structural columns then one slack per row
     b: np.ndarray
@@ -110,41 +129,86 @@ class StandardForm:
 def build_standard_form(
     n_struct: int,
     objective: list[tuple[int, int]],
-    rows: list[tuple[tuple[tuple[int, int], ...], str, float]],
+    rows: Sequence[Row],
     lower: np.ndarray,
     upper: np.ndarray,
+    spare_rows: int = 0,
 ) -> StandardForm:
     """rows are (terms, relation, rhs) with relation one of '<=', '>=', '='.
-    Raises ``ValueError`` on a structural bound that is not finite: the cold
-    start is dual feasible only when every structural is boxed."""
+    ``spare_rows`` reserves room for rows that :func:`append_rows` may add
+    later without copying ``A``.  Raises ``ValueError`` on a structural
+    bound that is not finite: the cold start is dual feasible only when
+    every structural is boxed."""
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("every structural bound must be finite")
     m = len(rows)
     total = n_struct + m
-    a = np.zeros((m, total))
-    b = np.zeros(m)
+    buf = np.zeros((m + spare_rows, total + spare_rows))
     lo = np.zeros(total)
     up = np.full(total, np.inf)
     lo[:n_struct] = lower
     up[:n_struct] = upper
-    for i, (terms, rel, rhs) in enumerate(rows):
-        for j, coef in terms:
-            a[i, j] += coef
-        b[i] = rhs
-        slack = n_struct + i
-        if rel == "<=":
-            a[i, slack] = 1.0
-        elif rel == ">=":
-            a[i, slack] = -1.0
-        elif rel == "=":
-            a[i, slack] = 1.0
-            up[slack] = 0.0
-        else:
-            raise ValueError(f"bad relation {rel!r}")
+    b = _fill_rows(buf, n_struct, 0, rows, up)
     c = np.zeros(total)
     for j, coef in objective:
         c[j] = float(coef)
-    return StandardForm(a=a, b=b, c=c, lower=lo, upper=up, n_struct=n_struct)
+    return StandardForm(a=buf[:m, :total], b=b, c=c, lower=lo, upper=up, n_struct=n_struct)
+
+
+def append_rows(form: StandardForm, rows: Sequence[Row]) -> StandardForm:
+    """The form with ``rows`` added below its rows, each row's slack added
+    after the last column, so every old row and column keeps its index.
+
+    The new rows are written into the spare rows of the buffer behind
+    ``form.a`` when it has room for them and no other form has claimed them
+    yet (they are still zero); otherwise ``A`` is copied into a new buffer
+    with room for as many rows again.  Either way ``form`` stays valid."""
+    m, total = form.a.shape
+    k = len(rows)
+    buf = form.a.base
+    if not (
+        isinstance(buf, np.ndarray)
+        and buf.strides == form.a.strides
+        and buf.ctypes.data == form.a.ctypes.data
+        and buf.shape[0] >= m + k
+        and buf.shape[1] >= total + k
+        and not buf[m : m + k].any()
+    ):
+        buf = np.zeros((m + 2 * k, total + 2 * k))
+        buf[:m, :total] = form.a
+    up = np.concatenate((form.upper, np.full(k, np.inf)))
+    b = np.concatenate((form.b, _fill_rows(buf, form.n_struct, m, rows, up)))
+    return StandardForm(
+        a=buf[: m + k, : total + k],
+        b=b,
+        c=np.concatenate((form.c, np.zeros(k))),
+        lower=np.concatenate((form.lower, np.zeros(k))),
+        upper=up,
+        n_struct=form.n_struct,
+    )
+
+
+def _fill_rows(buf: np.ndarray, n: int, first: int, rows: Sequence[Row], up: np.ndarray) -> np.ndarray:
+    """Write ``rows`` into ``buf`` from row ``first`` on, with the slack of
+    row i in column ``n + i``, fix each equality's slack at 0 in ``up``, and
+    return the right-hand sides."""
+    b = np.zeros(len(rows))
+    for k, (terms, rel, rhs) in enumerate(rows):
+        i = first + k
+        for j, coef in terms:
+            buf[i, j] += coef
+        b[k] = rhs
+        slack = n + i
+        if rel == "<=":
+            buf[i, slack] = 1.0
+        elif rel == ">=":
+            buf[i, slack] = -1.0
+        elif rel == "=":
+            buf[i, slack] = 1.0
+            up[slack] = 0.0
+        else:
+            raise ValueError(f"bad relation {rel!r}")
+    return b
 
 
 def solve_lp(
@@ -152,10 +216,17 @@ def solve_lp(
     lower_override: np.ndarray | None = None,
     upper_override: np.ndarray | None = None,
     warm: Basis | None = None,
+    separate: Callable[[LpSolution], Sequence[Row]] | None = None,
 ) -> LpSolution:
     """Optimize under the overridden structural bounds; ``warm`` is a basis
     that is optimal for the same form under bounds these only tighten.
-    Raises :class:`SimplexError` when the cold start breaks down."""
+
+    ``separate``, when given, is called with each optimal solution and
+    returns rows to add (none ends the rounds).  The rows are appended with
+    :func:`append_rows`, and the LP is re-optimized from the last basis
+    extended by their slacks.  The returned ``form`` is the form of the last
+    round, and ``iterations`` counts the pivots of every round.  Raises
+    :class:`SimplexError` when a cold start breaks down."""
     lo = form.lower.copy()
     up = form.upper.copy()
     if lower_override is not None:
@@ -163,7 +234,29 @@ def solve_lp(
     if upper_override is not None:
         up[: form.n_struct] = upper_override
     if np.any(lo > up + FEAS_TOL):
-        return LpSolution(status="infeasible", value=np.inf, x=None, iterations=0)
+        return LpSolution(status="infeasible", value=np.inf, x=None, iterations=0, form=form)
+    sol = _solve(form, lo, up, warm)
+    while separate is not None and sol.status == "optimal":
+        rows = separate(sol)
+        if not rows:
+            break
+        total, k = form.a.shape[1], len(rows)
+        form = append_rows(form, rows)
+        lo = np.concatenate((lo, form.lower[total:]))
+        up = np.concatenate((up, form.upper[total:]))
+        start = Basis(
+            columns=np.concatenate((sol.basis.columns, np.arange(total, total + k))),
+            at_upper=np.concatenate((sol.basis.at_upper, np.zeros(k, dtype=bool))),
+        )
+        pivots = sol.iterations
+        sol = _solve(form, lo, up, start)
+        sol.iterations += pivots
+    sol.form = form
+    return sol
+
+
+def _solve(form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis | None) -> LpSolution:
+    """The warm attempt from ``warm``, if any, then the cold start."""
     pivots = 0
     if warm is not None:
         sol, pivots = _dual_simplex(form, lo, up, warm)
@@ -230,7 +323,8 @@ class _Factor:
         y[self.pos_struct] = ys
         y[self.pos_slack] = (v[self.fixed] - self.b21 @ ys) / self.sign
         for r, eta in self.etas:
-            y -= eta * y[r]
+            if y[r] != 0.0:
+                y -= eta * y[r]
         return y
 
     def btran(self, w: np.ndarray) -> np.ndarray:

@@ -9,6 +9,26 @@ values at integral points are computed in exact integer arithmetic.
 Each child's LP is warm-started from its parent's optimal basis, which
 is all an open node stores besides its bound patch.
 
+Cut-and-branch: the root LP is tightened by rounds of directed cuts
+(Wong 1984; Koch & Martin 1998) before branching, and the whole tree
+then solves the tightened form; children are not separated again.  Per
+destination d, a max-flow on the per-wavelength layered graph (one copy
+of the mesh per wavelength, arc capacities ``x(L_uv_lam)``, a super-source
+on every ``(s, lam)`` and a sink on every ``(d, lam)``) finds a minimum
+cut, and one below 1 becomes the row ``sum of L over the cut >= 1``.  The
+cuts are valid whenever the commodity-flow layer is on: on each
+wavelength only the source has a net outflow, so a destination absorbs
+its unit along an ``s -> d`` path of positive flow, hence of used links,
+in one wavelength, and that path crosses every such cut.  This holds for
+light-hierarchies and light-trees alike, Cross Pair Switching revisits
+included.  Without the flow layer a detached cycle may serve a
+destination, so no cut is separated.  With |D| = 1 the flow link
+``F <= L`` already implies every cut, so none is separated either.  The
+rounds stop when no cut is violated, when the root bound reaches the
+incumbent, or at the deadline (which makes the solve ``LimitReached``).
+They run inside the root node's one ``solve_lp`` call, so every LP is
+still one node and every pivot is counted in ``lp_iterations``.
+
 A single solve is single-threaded and deterministic, counters included;
 distinct models may be solved concurrently.
 """
@@ -21,17 +41,21 @@ import itertools
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hierarchy
-from .flow import service_flow
+from .flow import _max_flow, service_flow
 from .model import Assignment, IlpModel, Mode, VarKind, build_model, check_feasible, extract_structures
 from .network import MulticastSession, Network
-from .simplex import Basis, SimplexError, StandardForm, build_standard_form, solve_lp
+from .simplex import FEAS_TOL, Basis, LpSolution, Row, SimplexError, StandardForm, build_standard_form, solve_lp
 
 INT_TOL = 1e-6
+# Room reserved in the root's form for cut rows, so that the rounds write
+# into it instead of copying A; more rows than this copy it once.
+CUT_ROWS = 32
 
 
 class SolveStatus(enum.Enum):
@@ -68,12 +92,63 @@ class FlowIntegralizationError(ValueError):
     """No integral flow exists for the fixed link pattern."""
 
 
-def _standard_form(model: IlpModel) -> StandardForm:
+def _standard_form(model: IlpModel, spare_rows: int = 0) -> StandardForm:
     n = len(model.vars)
     lower = np.array([float(v.lower) for v in model.vars])
     upper = np.array([float(v.upper) for v in model.vars])
     rows = [(c.terms, c.relation.value, float(c.rhs)) for c in model.constraints]
-    return build_standard_form(n, list(model.objective), rows, lower, upper)
+    return build_standard_form(n, list(model.objective), rows, lower, upper, spare_rows)
+
+
+def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], list[Row]]:
+    """A function from the structural values ``x`` of an LP solution to the
+    violated directed cuts, one row ``sum L >= 1`` per destination whose
+    minimum cut is below 1 (identical cuts once); see the module docstring.
+
+    The layered graph is built once: node ``lam * N + i`` is node i on
+    wavelength lam, followed by the super-source and the super-sink.  The
+    sink arcs of every destination are present, and only those of the
+    destination being separated get a capacity."""
+    net, ms = model.net, model.session
+    nn = len(net.nodes)
+    src, snk = nn * net.wavelengths, nn * net.wavelengths + 1
+    graph: list[list[int]] = [[] for _ in range(snk + 1)]
+    to: list[int] = []
+
+    def add(u: int, v: int) -> int:
+        graph[u].append(len(to))
+        to.append(v)
+        graph[v].append(len(to))
+        to.append(u)
+        return len(to) - 2
+
+    arcs = []  # (position, tail node, head node, L index) per mesh arc
+    for lam in range(net.wavelengths):
+        for u, v in net.directed_links:
+            tail, head = lam * nn + net.index[u], lam * nn + net.index[v]
+            arcs.append((add(tail, head), tail, head, model.light_index[(u, v, lam)]))
+    source_arcs = [add(src, lam * nn + net.index[ms.source]) for lam in range(net.wavelengths)]
+    sink_arcs = [
+        [add(lam * nn + net.index[d], snk) for lam in range(net.wavelengths)] for d in ms.sorted_destinations(net)
+    ]
+
+    def violated(x: np.ndarray) -> list[Row]:
+        mesh = [0.0] * len(to)
+        for pos, _, _, j in arcs:
+            mesh[pos] = max(float(x[j]), 0.0)
+        rows: dict[tuple[tuple[int, float], ...], Row] = {}
+        for sinks in sink_arcs:
+            cap = mesh.copy()
+            for pos in source_arcs + sinks:
+                cap[pos] = math.inf
+            _, reach = _max_flow(graph, cap, to, src, snk, FEAS_TOL)
+            cut = [j for _, tail, head, j in arcs if reach[tail] and not reach[head]]
+            if sum(x[j] for j in cut) < 1.0 - INT_TOL:
+                terms = tuple((j, 1.0) for j in sorted(cut))
+                rows.setdefault(terms, (terms, ">=", 1.0))
+        return list(rows.values())
+
+    return violated
 
 
 def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:
@@ -148,7 +223,11 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
 def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     """Minimize the model exactly; see module docstring for the strategy."""
     opts = opts or SolveOptions()
-    form = _standard_form(model)
+    # Directed cuts are valid only with the flow layer, and with one
+    # destination F <= L already implies them.
+    separates = model.connectivity and len(model.session.destinations) >= 2
+    cuts = _dicut_separator(model) if separates else None
+    form = _standard_form(model, CUT_ROWS if cuts else 0)
     n = len(model.vars)
     branchable = [v.index for v in model.vars if v.kind in (VarKind.LIGHT, VarKind.WAVE)]
 
@@ -169,6 +248,16 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         (-math.inf, next(counter), {}, None)
     ]
     stopped_early = False
+
+    def separate(sol: LpSolution) -> list[Row]:
+        """The next round of root cuts, or none when a stop rule holds."""
+        nonlocal stopped_early
+        if incumbent_obj is not None and math.ceil(sol.value - INT_TOL) >= incumbent_obj:
+            return []
+        if deadline is not None and time.monotonic() > deadline:
+            stopped_early = True
+            return []
+        return cuts(sol.x)
 
     while heap:
         bound, _, patch, warm = heapq.heappop(heap)
@@ -193,11 +282,18 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
 
         nodes_explored += 1
         try:
-            sol = solve_lp(form, lower_override=lower, upper_override=upper, warm=warm)
+            sol = solve_lp(
+                form,
+                lower_override=lower,
+                upper_override=upper,
+                warm=warm,
+                separate=separate if cuts and nodes_explored == 1 else None,
+            )
         except SimplexError:
             numerical_trouble = True
             continue
         lp_iterations += sol.iterations
+        form = sol.form
         if opts.verbosity >= 2 or (opts.verbosity == 1 and nodes_explored % 100 == 0):
             print(
                 f"node {nodes_explored}: bound {sol.value if sol.status == 'optimal' else sol.status},"

@@ -183,8 +183,9 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_solve_limit_exit_code(capsys):
+    # NSF seed-1 |D|=3 session 3 still branches after the root's cut rounds.
     code = run_cli(
-        "solve", "--topology", "fig3", "--source", "s", "--dest", "d1,d2", "--node-limit", "1"
+        "solve", "--topology", "nsf", "--source", "1", "--dest", "7,13,14", "--node-limit", "1"
     )
     assert code == 4
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from lumharch.flow import feasible_flow, service_flow
+import math
+
+from lumharch.flow import _max_flow, feasible_flow, service_flow
 
 
 def test_feasible_flow_simple_path():
@@ -96,3 +98,47 @@ def test_service_flow_structure_with_no_consumption_is_rejected():
         1,
     )
     assert flows is None
+
+
+def _graph(n, arcs):
+    graph = [[] for _ in range(n)]
+    cap, to = [], []
+    for u, v, c in arcs:
+        graph[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        graph[v].append(len(to))
+        to.append(u)
+        cap.append(0.0)
+    return graph, cap, to
+
+
+def test_float_max_flow_returns_the_min_cut_arcs():
+    # A two-wavelength layered graph with dyadic capacities, so the float
+    # arithmetic is exact: super-source 0 feeds the source copies 1 and 2,
+    # the sink copies 5 and 6 feed the super-sink 7.  The flow is 0.375;
+    # the residual graph still reaches 3 through 1 -> 3, so the cut is
+    # 1 -> 4 and 3 -> 6 on one wavelength and 2 -> 5 on the other.
+    inf = math.inf
+    arcs = [
+        (0, 1, inf), (0, 2, inf),
+        (1, 3, 0.5), (1, 4, 0.125), (3, 6, 0.125), (4, 6, 1.0),
+        (2, 5, 0.125), (5, 7, inf), (6, 7, inf),
+    ]
+    graph, cap, to = _graph(8, arcs)
+    value, reach = _max_flow(graph, cap, to, 0, 7, 1e-9)
+    assert value == 0.375
+    assert [i for i in range(8) if reach[i]] == [0, 1, 2, 3]
+    cut = [(u, v) for u, v, _ in arcs if reach[u] and not reach[v]]
+    assert cut == [(1, 4), (3, 6), (2, 5)]
+    assert sum(c for u, v, c in arcs if (u, v) in cut) == value
+
+
+def test_float_max_flow_counts_residuals_only_above_tol():
+    # 1e-12 of residual capacity on 1 -> 2 is below the tolerance: the arc
+    # counts as saturated and 2 stays on the sink side.
+    graph, cap, to = _graph(3, [(0, 1, 1.0), (1, 2, 1e-12)])
+    value, reach = _max_flow(graph, cap, to, 0, 2, 1e-9)
+    assert value == 0 and reach == [True, True, False]
+    graph, cap, to = _graph(3, [(0, 1, 3), (1, 2, 2)])
+    assert _max_flow(graph, cap, to, 0, 2) == (2, [True, True, False])

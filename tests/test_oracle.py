@@ -2,8 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from lumharch import Mode, OracleGuardError, builtin_topology, enumerate_optimal, make_session, parse_network, validate
+from lumharch import (
+    Mode,
+    OracleGuardError,
+    build_model,
+    builtin_topology,
+    enumerate_optimal,
+    make_session,
+    parse_network,
+    solver,
+    validate,
+)
 from lumharch.oracle import enumerate_optimal_unpruned
+from lumharch.simplex import solve_lp
 
 TINY_TRIANGLE = """
 NODE s MI
@@ -203,3 +214,51 @@ def test_weighted_random_instances_match_solver():
                 assert report.objective == expected
             else:
                 assert report.status is SolveStatus.INFEASIBLE
+
+
+def _root_cuts(model):
+    """Every directed cut the root rounds separate when no incumbent stops
+    them, and the root LP after the last round."""
+    separator = solver._dicut_separator(model)
+    cuts = []
+
+    def separate(sol):
+        rows = separator(sol.x)
+        cuts.extend(rows)
+        return rows
+
+    return cuts, solve_lp(solver._standard_form(model), separate=separate)
+
+
+def test_dicuts_hold_at_the_oracle_optimum(fig3, fig4a, fig4b, fig5):
+    # A directed cut is valid when every feasible point meets it, so every
+    # cut separated at the root must hold at the oracle's optimum, and the
+    # root bound after the rounds can never pass the optimum.
+    cases = [
+        (fig3, "s", ["d1", "d2"]),
+        (fig4a, "s", ["d1", "d2"]),
+        (fig4b, "s", ["d1", "d2"]),
+        (fig5, "s", ["d1", "d2", "d3"]),
+        (fig5, "d2", ["s", "d3"]),
+        (parse_network(TINY_Y), "s", ["d1", "d2"]),
+        (parse_network(TINY_STAR_MI), "s", ["d1", "d2"]),
+    ]
+    separated = 0
+    for net, source, dests in cases:
+        ms = make_session(net, source, dests)
+        for mode in (Mode.LH, Mode.LT):
+            res = enumerate_optimal(net, ms, mode)
+            model = build_model(net, ms, mode, True)
+            cuts, root = _root_cuts(model)
+            if not res.feasible:
+                assert root.status == "infeasible"
+                continue
+            used = {
+                model.light_index[(u, v, ls.wavelength)] for ls in res.witness.structures for u, v in ls.links
+            }
+            for terms, relation, rhs in cuts:
+                assert relation == ">=" and rhs == 1.0
+                assert sum(coef for j, coef in terms if j in used) >= 1, (source, dests, mode)
+            assert root.value <= model.delta * res.best_cost + res.best_wavelengths + 1e-6
+            separated += len(cuts)
+    assert separated >= 10

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lumharch import (
     build_model,
     builtin_topology,
     check_feasible,
+    emit_lp,
     extract_structures,
     integralize_flows,
     make_session,
@@ -137,8 +139,15 @@ def test_greedy_incumbent_is_feasible_upper_bound(fig3, fig3_session):
         assert model.objective_value(seed) >= solve(model).objective
 
 
-def test_node_limit_reached(fig3, fig3_session):
-    model = build_model(fig3, fig3_session, Mode.LH, True)
+def _branching_model():
+    """NSF seed-1 |D|=3 session 3 in LH mode: it still branches after the
+    root's cut rounds (3 nodes with BLAS on one thread, 4 with two)."""
+    net = builtin_topology("nsf")
+    return build_model(net, generate_sessions(net, 3, 4, seed=1)[3], Mode.LH, True)
+
+
+def test_node_limit_reached():
+    model = _branching_model()
     rep = solve(model, SolveOptions(node_limit=1))
     assert rep.status is SolveStatus.LIMIT_REACHED
     # the greedy incumbent still rides along
@@ -153,10 +162,86 @@ def test_bad_options_rejected():
         SolveOptions(time_limit_ms=0)
 
 
-def test_time_limit_reached(fig3, fig3_session):
-    model = build_model(fig3, fig3_session, Mode.LH, True)
+def test_time_limit_reached():
+    model = _branching_model()
     rep = solve(model, SolveOptions(time_limit_ms=1))
     assert rep.status is SolveStatus.LIMIT_REACHED
+
+
+def test_deadline_between_cut_rounds_reports_limit(monkeypatch):
+    # A clock that moves one second per separation round: the 1.5 s limit
+    # passes after the second round has added its cuts, so the third round
+    # is never separated, and the solve must not claim optimality even if
+    # the tree it then searches would close.
+    clock = [0.0]
+    monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    separator, rounds = solver._dicut_separator, []
+
+    def slow_separator(model):
+        separate = separator(model)
+
+        def timed(x):
+            clock[0] += 1.0
+            rows = separate(x)
+            rounds.append(len(rows))
+            return rows
+
+        return timed
+
+    monkeypatch.setattr(solver, "_dicut_separator", slow_separator)
+    model = _branching_model()
+    rep = solve(model, SolveOptions(time_limit_ms=1500))
+    assert len(rounds) == 2 and all(rounds)
+    assert rep.status is SolveStatus.LIMIT_REACHED
+    assert rep.nodes_explored == 1
+    assert rep.objective is not None and check_feasible(model, rep.assignment).ok
+
+
+def test_solve_lp_calls_reconcile_with_cut_rounds(monkeypatch):
+    # The invariants the benchmark's trace run checks: the root's cut rounds
+    # run inside its one solve_lp call, so calls equal nodes_explored and
+    # their pivots sum to lp_iterations.
+    calls = []
+    solve_lp = solver.solve_lp
+
+    def recorded(form, *args, **kwargs):
+        sol = solve_lp(form, *args, **kwargs)
+        calls.append((form.a.shape[0], sol.form.a.shape[0], sol.iterations))
+        return sol
+
+    monkeypatch.setattr(solver, "solve_lp", recorded)
+    model = _branching_model()
+    rep = solve(model)
+    assert rep.status is SolveStatus.OPTIMAL
+    assert len(calls) == rep.nodes_explored >= 2
+    assert sum(pivots for _, _, pivots in calls) == rep.lp_iterations
+    rows_in, rows_out, _ = calls[0]
+    assert rows_in == len(model.constraints) < rows_out
+    # children solve the tightened form, and none adds rows
+    assert all(rows == rows_out for call in calls[1:] for rows in call[:2])
+
+
+def test_no_cuts_without_the_flow_layer(fig5, fig5_session, monkeypatch):
+    # Without the flow layer a detached cycle may serve a destination, so a
+    # directed cut is not valid: nothing is separated and the structure-only
+    # optimum stays 3.
+    built = []
+    separator = solver._dicut_separator
+    monkeypatch.setattr(solver, "_dicut_separator", lambda model: built.append(model) or separator(model))
+    _, rep = solve_session(fig5, fig5_session, Mode.LH, connectivity=False)
+    assert rep.status is SolveStatus.OPTIMAL and rep.total_cost == 3
+    assert built == []
+    _, rep = solve_session(fig5, fig5_session, Mode.LH, connectivity=True)
+    assert rep.total_cost == 5 and len(built) == 1
+
+
+def test_dicuts_leave_the_model_and_its_lp_text_unchanged():
+    model = _branching_model()
+    text = emit_lp(model)
+    constraints = model.constraints
+    rep = solve(model)
+    assert rep.status is SolveStatus.OPTIMAL
+    assert model.constraints is constraints and emit_lp(model) == text
 
 
 def test_verbose_logging_goes_to_stderr(fig3, fig3_session, capsys):
