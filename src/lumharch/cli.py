@@ -190,7 +190,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
 
 def _add_topology_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", required=True, help="builtin name (fig3, fig5, nsf, cost239) or a network file path")
-    p.add_argument("--splitters", default="", help="comma-separated node ids to mark as MC")
+    p.add_argument(
+        "--splitters",
+        default="",
+        help="comma-separated node ids that become the only MC nodes (empty keeps the network's own)",
+    )
     p.add_argument("--wavelengths", type=int, default=None, help="override the wavelength count")
 
 

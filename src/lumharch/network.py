@@ -106,7 +106,9 @@ class Network:
         splitters: tuple[str, ...] | list[str] | None = None,
         wavelengths: int | None = None,
     ) -> "Network":
-        """Return a copy with the given nodes marked MC and/or a new |W|."""
+        """Return a copy with a new |W| and/or new splitters: when
+        ``splitters`` is given, exactly those nodes are MC and every other
+        node is MI, whatever kind the network gave it."""
         if splitters is not None:
             unknown = [m for m in splitters if m not in self.index]
             if unknown:

@@ -18,9 +18,8 @@ from it.
 Rows can be appended to a solved LP (``solve_lp(..., separate=...)``,
 which the solver uses for its root cuts).  :func:`append_rows` puts them
 below the old rows and their slacks after the last column, so every old
-row and column keeps its index, and a form built with room to spare takes
-them without copying ``A``.  The last optimal basis extends with the new
-slacks, basic in their own rows.  Their duals are zero, so every reduced
+row and column keeps its index.  The last optimal basis extends with the
+new slacks, basic in their own rows.  Their duals are zero, so every reduced
 cost is unchanged and the extended basis is dual feasible; a violated row
 makes its slack primal infeasible, which is the start the warm dual
 simplex takes.  The new rows are basic-slack rows, so the inverted block
@@ -37,9 +36,11 @@ start keeps ``w = 1``, the largest infeasibility, because a child takes
 few pivots.  The entering column is the smallest dual ratio, ties broken
 by the largest ``|alpha_j|`` and then the lowest index.
 
-A basic slack's column is a signed unit column, so only the k x k block
-of basic structural columns over the rows whose slack is nonbasic is
-inverted (k = 53-104 against m = 345-427 rows on the children of the
+The form stores only the structural block of ``[A | S]``: slack i is the
+signed unit column ``sign_i e_i``, so every product with ``[A | S]`` takes
+its slack part from the sign vector.  For the same reason only the k x k
+block of basic structural columns over the rows whose slack is nonbasic
+is inverted (k = 53-104 against m = 345-427 rows on the children of the
 benchmark's deep NSF and COST239 solves; k = 0 at the slack basis).
 ``B^-1`` is applied in block form through that inverse, and each pivot
 appends one eta vector (product form).  Every 32 etas the basis is
@@ -115,15 +116,36 @@ class StandardForm:
     """Equality system [A | S] x = b with per-column bounds, built once per
     model and re-solved under different structural bounds during search.
 
-    ``a`` may be the top-left window of a larger zero buffer, whose spare
-    rows and columns :func:`append_rows` fills in place."""
+    Only the m x n structural block ``A`` is stored.  ``S`` is
+    ``diag(sign)``: the slack of row i is column ``n + i``, with coefficient
+    +1 in a ``<=`` or ``=`` row (fixed at 0 in an equality) and -1 in a
+    ``>=`` row."""
 
-    a: np.ndarray  # m rows, structural columns then one slack per row
+    a: np.ndarray  # m x n, the structural columns
+    sign: np.ndarray  # per row: its slack's coefficient
     b: np.ndarray
-    c: np.ndarray
+    c: np.ndarray  # per column, structurals then slacks
     lower: np.ndarray
     upper: np.ndarray
-    n_struct: int
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of ``[A | S]``."""
+        m, n = self.a.shape
+        if j < n:
+            return self.a[:, j]
+        col = np.zeros(m)
+        col[j - n] = self.sign[j - n]
+        return col
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``[A | S] x``."""
+        n = self.a.shape[1]
+        return self.a @ x[:n] + self.sign * x[n:]
+
+    def rmatvec(self, y: np.ndarray, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """``y [A | S]``, summed over ``rows`` only (``y`` must be zero on the
+        others)."""
+        return np.concatenate((y[rows] @ self.a[rows], y * self.sign))
 
 
 def build_standard_form(
@@ -132,83 +154,46 @@ def build_standard_form(
     rows: Sequence[Row],
     lower: np.ndarray,
     upper: np.ndarray,
-    spare_rows: int = 0,
 ) -> StandardForm:
     """rows are (terms, relation, rhs) with relation one of '<=', '>=', '='.
-    ``spare_rows`` reserves room for rows that :func:`append_rows` may add
-    later without copying ``A``.  Raises ``ValueError`` on a structural
-    bound that is not finite: the cold start is dual feasible only when
-    every structural is boxed."""
+    Raises ``ValueError`` on a structural bound that is not finite: the cold
+    start is dual feasible only when every structural is boxed."""
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("every structural bound must be finite")
-    m = len(rows)
-    total = n_struct + m
-    buf = np.zeros((m + spare_rows, total + spare_rows))
-    lo = np.zeros(total)
-    up = np.full(total, np.inf)
-    lo[:n_struct] = lower
-    up[:n_struct] = upper
-    b = _fill_rows(buf, n_struct, 0, rows, up)
-    c = np.zeros(total)
+    c = np.zeros(n_struct)
     for j, coef in objective:
         c[j] = float(coef)
-    return StandardForm(a=buf[:m, :total], b=b, c=c, lower=lo, upper=up, n_struct=n_struct)
+    empty = StandardForm(a=np.zeros((0, n_struct)), sign=np.zeros(0), b=np.zeros(0), c=c, lower=lower, upper=upper)
+    return append_rows(empty, rows)
 
 
 def append_rows(form: StandardForm, rows: Sequence[Row]) -> StandardForm:
-    """The form with ``rows`` added below its rows, each row's slack added
-    after the last column, so every old row and column keeps its index.
-
-    The new rows are written into the spare rows of the buffer behind
-    ``form.a`` when it has room for them and no other form has claimed them
-    yet (they are still zero); otherwise ``A`` is copied into a new buffer
-    with room for as many rows again.  Either way ``form`` stays valid."""
-    m, total = form.a.shape
-    k = len(rows)
-    buf = form.a.base
-    if not (
-        isinstance(buf, np.ndarray)
-        and buf.strides == form.a.strides
-        and buf.ctypes.data == form.a.ctypes.data
-        and buf.shape[0] >= m + k
-        and buf.shape[1] >= total + k
-        and not buf[m : m + k].any()
-    ):
-        buf = np.zeros((m + 2 * k, total + 2 * k))
-        buf[:m, :total] = form.a
-    up = np.concatenate((form.upper, np.full(k, np.inf)))
-    b = np.concatenate((form.b, _fill_rows(buf, form.n_struct, m, rows, up)))
+    """A new form with ``rows`` added below the rows of ``form``, each row's
+    slack added after the last column, so every old row and column keeps its
+    index; ``form`` is left as it is."""
+    k, n = len(rows), form.a.shape[1]
+    a = np.zeros((k, n))
+    b = np.zeros(k)
+    sign = np.ones(k)
+    up = np.full(k, np.inf)
+    for i, (terms, rel, rhs) in enumerate(rows):
+        for j, coef in terms:
+            a[i, j] += coef
+        b[i] = rhs
+        if rel == ">=":
+            sign[i] = -1.0
+        elif rel == "=":
+            up[i] = 0.0
+        elif rel != "<=":
+            raise ValueError(f"bad relation {rel!r}")
     return StandardForm(
-        a=buf[: m + k, : total + k],
-        b=b,
+        a=np.vstack((form.a, a)),
+        sign=np.concatenate((form.sign, sign)),
+        b=np.concatenate((form.b, b)),
         c=np.concatenate((form.c, np.zeros(k))),
         lower=np.concatenate((form.lower, np.zeros(k))),
-        upper=up,
-        n_struct=form.n_struct,
+        upper=np.concatenate((form.upper, up)),
     )
-
-
-def _fill_rows(buf: np.ndarray, n: int, first: int, rows: Sequence[Row], up: np.ndarray) -> np.ndarray:
-    """Write ``rows`` into ``buf`` from row ``first`` on, with the slack of
-    row i in column ``n + i``, fix each equality's slack at 0 in ``up``, and
-    return the right-hand sides."""
-    b = np.zeros(len(rows))
-    for k, (terms, rel, rhs) in enumerate(rows):
-        i = first + k
-        for j, coef in terms:
-            buf[i, j] += coef
-        b[k] = rhs
-        slack = n + i
-        if rel == "<=":
-            buf[i, slack] = 1.0
-        elif rel == ">=":
-            buf[i, slack] = -1.0
-        elif rel == "=":
-            buf[i, slack] = 1.0
-            up[slack] = 0.0
-        else:
-            raise ValueError(f"bad relation {rel!r}")
-    return b
 
 
 def solve_lp(
@@ -227,12 +212,13 @@ def solve_lp(
     extended by their slacks.  The returned ``form`` is the form of the last
     round, and ``iterations`` counts the pivots of every round.  Raises
     :class:`SimplexError` when a cold start breaks down."""
+    n = form.a.shape[1]
     lo = form.lower.copy()
     up = form.upper.copy()
     if lower_override is not None:
-        lo[: form.n_struct] = lower_override
+        lo[:n] = lower_override
     if upper_override is not None:
-        up[: form.n_struct] = upper_override
+        up[:n] = upper_override
     if np.any(lo > up + FEAS_TOL):
         return LpSolution(status="infeasible", value=np.inf, x=None, iterations=0, form=form)
     sol = _solve(form, lo, up, warm)
@@ -240,7 +226,7 @@ def solve_lp(
         rows = separate(sol)
         if not rows:
             break
-        total, k = form.a.shape[1], len(rows)
+        total, k = len(form.c), len(rows)
         form = append_rows(form, rows)
         lo = np.concatenate((lo, form.lower[total:]))
         up = np.concatenate((up, form.upper[total:]))
@@ -262,7 +248,7 @@ def _solve(form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis | Non
         sol, pivots = _dual_simplex(form, lo, up, warm)
         if sol is not None:
             return sol
-    n, m = form.n_struct, form.a.shape[0]
+    m, n = form.a.shape
     at_upper = np.zeros(n + m, dtype=bool)
     at_upper[:n] = form.c[:n] < 0
     sol = _run(form, lo, up, Basis(columns=np.arange(n, n + m), at_upper=at_upper), cold=True)
@@ -300,7 +286,8 @@ class _Factor:
     a finite inverse with entries near 1e13.
     """
 
-    def __init__(self, a: np.ndarray, columns: np.ndarray, n: int) -> None:
+    def __init__(self, form: StandardForm, columns: np.ndarray) -> None:
+        a, n = form.a, form.a.shape[1]
         struct = columns < n
         self.pos_struct = np.flatnonzero(struct)
         self.pos_slack = np.flatnonzero(~struct)
@@ -313,7 +300,7 @@ class _Factor:
         if not np.all(np.abs(self.inv) <= 1.0 / PIVOT_TOL):
             raise np.linalg.LinAlgError("basis block is nearly singular")
         self.b21 = a[np.ix_(self.fixed, cols)]
-        self.sign = a[self.fixed, n + self.fixed]
+        self.sign = form.sign[self.fixed]
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
@@ -350,9 +337,8 @@ def _run(form: StandardForm, lo: np.ndarray, up: np.ndarray, start: Basis, cold:
     ``cold`` turns on dual steepest-edge pricing, the looser pivot cap and
     the certified "infeasible".  Raises :class:`SimplexError`, with the
     pivots made, on any breakdown."""
-    m, total = form.a.shape
-    n = form.n_struct
-    a = form.a
+    m, n = form.a.shape
+    total = n + m
     basis = start.columns.copy()
     status = np.where(start.at_upper & np.isfinite(up), AT_UPPER, AT_LOWER).astype(np.int8)
     nonbasic = np.ones(total, dtype=bool)
@@ -364,12 +350,12 @@ def _run(form: StandardForm, lo: np.ndarray, up: np.ndarray, start: Basis, cold:
         """A fresh factor of the basis, with the basic values and reduced
         costs recomputed from the original ``A``."""
         try:
-            factor = _Factor(a, basis, n)
+            factor = _Factor(form, basis)
         except np.linalg.LinAlgError as err:
             raise SimplexError(str(err), pivots) from None
         x = np.where(status == AT_UPPER, up, lo)
         x[basis] = 0.0
-        return factor, factor.ftran(form.b - a @ x), form.c - factor.btran(form.c[basis]) @ a
+        return factor, factor.ftran(form.b - form.matvec(x)), form.c - form.rmatvec(factor.btran(form.c[basis]))
 
     factor, beta, d = factorize()
     if not _dual_feasible(d, status, movable & nonbasic):
@@ -395,7 +381,7 @@ def _run(form: StandardForm, lo: np.ndarray, up: np.ndarray, start: Basis, cold:
         rho = factor.btran(unit)
         unit[r] = 0.0
         rows = np.flatnonzero(rho)
-        alpha = rho[rows] @ a[rows]
+        alpha = form.rmatvec(rho, rows)
         s = alpha if to_upper else -alpha
         at_lo = status == AT_LOWER
         cand = np.flatnonzero(movable & nonbasic & ((at_lo & (s > FEAS_TOL)) | (~at_lo & (s < -FEAS_TOL))))
@@ -408,11 +394,12 @@ def _run(form: StandardForm, lo: np.ndarray, up: np.ndarray, start: Basis, cold:
         q = int(tied[int(np.argmax(np.abs(alpha[tied])))])
 
         pivots += 1
-        col = factor.ftran(a[:, q])
+        col = factor.ftran(form.column(q))
         if abs(col[r]) < PIVOT_TOL:
             raise SimplexError("pivot element vanished", pivots)
         if cold:
-            _update_weights(weights, r, col, factor.ftran(rho), a[:, leaving] @ a[:, leaving])
+            leaving_col = form.column(leaving)
+            _update_weights(weights, r, col, factor.ftran(rho), leaving_col @ leaving_col)
         step = (beta[r] - (up[leaving] if to_upper else lo[leaving])) / alpha[q]
         enter_val = (lo[q] if status[q] == AT_LOWER else up[q]) + step
         theta = d[q] / alpha[q]
@@ -431,12 +418,12 @@ def _run(form: StandardForm, lo: np.ndarray, up: np.ndarray, start: Basis, cold:
     x[basis] = beta
     if (
         not np.all(np.isfinite(x))
-        or np.max(np.abs(a @ x - form.b), initial=0.0) > WARM_TOL
+        or np.max(np.abs(form.matvec(x) - form.b), initial=0.0) > WARM_TOL
         or np.any(x < lo - WARM_TOL)
         or np.any(x > up + WARM_TOL)
     ):
         raise SimplexError("final point drifted off A x = b or its bounds", pivots)
-    d = form.c - factor.btran(form.c[basis]) @ a
+    d = form.c - form.rmatvec(factor.btran(form.c[basis]))
     if not _dual_feasible(d, status, movable & nonbasic):
         raise SimplexError("final reduced costs are not dual feasible", pivots)
     return LpSolution(

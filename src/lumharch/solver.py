@@ -53,9 +53,6 @@ from .network import MulticastSession, Network
 from .simplex import FEAS_TOL, Basis, LpSolution, Row, SimplexError, StandardForm, build_standard_form, solve_lp
 
 INT_TOL = 1e-6
-# Room reserved in the root's form for cut rows, so that the rounds write
-# into it instead of copying A; more rows than this copy it once.
-CUT_ROWS = 32
 
 
 class SolveStatus(enum.Enum):
@@ -92,12 +89,12 @@ class FlowIntegralizationError(ValueError):
     """No integral flow exists for the fixed link pattern."""
 
 
-def _standard_form(model: IlpModel, spare_rows: int = 0) -> StandardForm:
+def _standard_form(model: IlpModel) -> StandardForm:
     n = len(model.vars)
     lower = np.array([float(v.lower) for v in model.vars])
     upper = np.array([float(v.upper) for v in model.vars])
     rows = [(c.terms, c.relation.value, float(c.rhs)) for c in model.constraints]
-    return build_standard_form(n, list(model.objective), rows, lower, upper, spare_rows)
+    return build_standard_form(n, list(model.objective), rows, lower, upper)
 
 
 def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], list[Row]]:
@@ -227,7 +224,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     # destination F <= L already implies them.
     separates = model.connectivity and len(model.session.destinations) >= 2
     cuts = _dicut_separator(model) if separates else None
-    form = _standard_form(model, CUT_ROWS if cuts else 0)
+    form = _standard_form(model)
     n = len(model.vars)
     branchable = [v.index for v in model.vars if v.kind in (VarKind.LIGHT, VarKind.WAVE)]
 

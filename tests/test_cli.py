@@ -7,11 +7,13 @@ from lumharch.cli import (
     CSV_HEADER,
     ExperimentConfig,
     Splitmix64,
+    _load_topology,
     generate_sessions,
     main,
     run_experiment,
 )
 from lumharch.model import Mode
+from lumharch.network import NodeKind
 
 FIG5B_DUMP = "λ0: (s(l_sd1,d1)),(d2(l_d2d3,d3(l_d3d2,d2)))\n"
 
@@ -169,6 +171,16 @@ def test_solve_writes_dump(tmp_path, capsys):
     )
     assert code == 0
     assert dump.read_text(encoding="utf-8").startswith("λ")
+
+
+def test_splitters_replace_a_file_networks_mc_nodes(tmp_path):
+    # --splitters makes exactly the named nodes MC, so on a file network it
+    # demotes the file's own MC nodes; an empty value keeps them.
+    path = tmp_path / "mc.net"
+    path.write_text("NODE a MC\nNODE b MI\nNODE c MI\nEDGE a b 1\nEDGE b c 1\nWAVELENGTHS 1\n", encoding="utf-8")
+    for splitters, mc in (((), {"a"}), (("c",), {"c"}), (("a", "b"), {"a", "b"})):
+        net = _load_topology(str(path), splitters, None)
+        assert {n for n, kind in net.nodes if kind is NodeKind.MC} == mc, splitters
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

@@ -12,6 +12,8 @@ from lumharch.network import Network, NodeKind
 from lumharch.simplex import build_standard_form, solve_lp
 from lumharch.solver import _standard_form
 
+FORM_FIELDS = ("a", "sign", "b", "c", "lower", "upper")
+
 
 def _random_lp(rng):
     n = int(rng.integers(2, 9))
@@ -64,6 +66,11 @@ def _assert_matches_scipy(sols, lp, lower, upper):
 def _random_form(lp):
     n, c, lower, upper, rows, *_ = lp
     return build_standard_form(n, [(j, c[j]) for j in range(n)], rows, lower, upper)
+
+
+def _dense(form):
+    """The explicit ``[A | S]`` of a form, with ``S = diag(sign)``."""
+    return np.hstack((form.a, np.diag(form.sign)))
 
 
 def test_matches_scipy_on_random_lps():
@@ -226,7 +233,8 @@ def test_appended_rows_match_the_full_lp(monkeypatch):
     # Rows fed to solve_lp by ``separate`` in two rounds give the form built
     # with every row at once, and the same status and value as HiGHS on the
     # full LP; each round re-optimizes from the last basis plus the new rows'
-    # slacks, which start basic.
+    # slacks, which start basic.  Appending a second, different row set to
+    # the same parent leaves the parent and the first child as they were.
     attempts = _record_warm_attempts(monkeypatch)
     rng = np.random.default_rng(8080)
     rounds = 0
@@ -243,31 +251,54 @@ def test_appended_rows_match_the_full_lp(monkeypatch):
             return chunks.pop(0) if chunks else []
 
         objective = [(j, c[j]) for j in range(n)]
-        form = build_standard_form(n, objective, head, lower, upper, spare_rows=int(rng.integers(0, 3)))
+        form = build_standard_form(n, objective, head, lower, upper)
         sol = solve_lp(form, separate=separate)
         _assert_matches_scipy([sol], lp, lower, upper)
         if sol.status == "optimal":
             full = build_standard_form(n, objective, rows, lower, upper)
-            for name in ("a", "b", "c", "lower", "upper"):
+            first = simplex.append_rows(form, tail)
+            kept = [(f, {name: getattr(f, name).copy() for name in FORM_FIELDS}) for f in (form, first)]
+            simplex.append_rows(form, head)
+            for name in FORM_FIELDS:
                 assert np.array_equal(getattr(sol.form, name), getattr(full, name)), name
+                assert np.array_equal(getattr(first, name), getattr(full, name)), name
+                for f, fields in kept:
+                    assert np.array_equal(getattr(f, name), fields[name]), name
             assert not chunks and len(sol.basis.columns) == len(rows)
             rounds += fed
     assert rounds >= 100 and len(attempts) >= rounds
 
 
-def test_append_rows_fills_spare_rows_once():
-    # The first form appended to a form with room writes into its buffer;
-    # a second one from the same form finds those rows taken and copies, so
-    # both stay as built.
-    rows = [(((0, 1), (1, 1)), "<=", 3.0)]
-    form = build_standard_form(2, [(0, -1), (1, -1)], rows, np.zeros(2), np.ones(2), spare_rows=2)
-    first = simplex.append_rows(form, [(((0, 1),), ">=", 1.0)])
-    second = simplex.append_rows(form, [(((1, 2),), "=", 1.0), (((0, 1),), "<=", 1.0)])
-    assert np.shares_memory(first.a, form.a) and not np.shares_memory(second.a, form.a)
-    for got, extra in ((first, [(((0, 1),), ">=", 1.0)]), (second, [(((1, 2),), "=", 1.0), (((0, 1),), "<=", 1.0)])):
-        want = build_standard_form(2, [(0, -1), (1, -1)], rows + extra, np.zeros(2), np.ones(2))
-        assert np.array_equal(got.a, want.a) and np.array_equal(got.upper, want.upper)
-    assert np.array_equal(form.a, [[1.0, 1.0, 1.0]])
+def test_form_products_match_the_dense_matrix():
+    # Every product the simplex takes of [A | S], on forms with <=, >= and =
+    # rows, some of them appended, equals the same product on the explicit
+    # dense matrix: a column, [A | S] x, y [A | S], and y [A | S] over the
+    # rows where y is nonzero.
+    rng = np.random.default_rng(2718)
+    signs = set()
+    checked = 0
+    for _ in range(120):
+        lp = _random_lp(rng)
+        n, c, lower, upper, rows, *_ = lp
+        if not rows:
+            continue
+        split = int(rng.integers(0, len(rows) + 1))
+        form = build_standard_form(n, [(j, c[j]) for j in range(n)], rows[:split], lower, upper)
+        form = simplex.append_rows(form, rows[split:])
+        dense = _dense(form)
+        m, total = dense.shape
+        assert (m, total) == (len(rows), n + len(rows)) == (len(form.b), len(form.c))
+        signs.update(form.sign.tolist())
+        for j in range(total):
+            assert np.array_equal(form.column(j), dense[:, j]), j
+        x = rng.normal(size=total)
+        assert np.allclose(form.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+        y = rng.normal(size=m)
+        assert np.allclose(form.rmatvec(y), y @ dense, rtol=1e-12, atol=1e-12)
+        y[rng.random(m) < 0.5] = 0.0
+        assert np.allclose(form.rmatvec(y, np.flatnonzero(y)), y @ dense, rtol=1e-12, atol=1e-12)
+        checked += 1
+    assert checked >= 80 and signs == {1.0, -1.0}
 
 
 def test_warm_start_from_basis_with_equality_slack(monkeypatch):
@@ -314,7 +345,7 @@ def _assert_root_pivots(net, index, value, pivots):
     for mode in (Mode.LH, Mode.LT):
         form = _standard_form(build_model(net, session, mode, True))
         root = solve_lp(form)
-        ref = linprog(form.c, A_eq=form.a, b_eq=form.b, bounds=list(zip(form.lower, form.upper)), method="highs")
+        ref = linprog(form.c, A_eq=_dense(form), b_eq=form.b, bounds=list(zip(form.lower, form.upper)), method="highs")
         assert root.status == "optimal" and ref.status == 0
         assert abs(root.value - ref.fun) <= 1e-6
         assert abs(root.value - value) <= 1e-6
@@ -402,7 +433,7 @@ def test_standard_form_rejects_unbounded_structurals():
 
 
 def _assert_factor_solves(form, factor, columns, rng):
-    basis = form.a[:, columns]
+    basis = _dense(form)[:, columns]
     m = form.a.shape[0]
     for _ in range(3):
         v = rng.normal(size=m)
@@ -428,13 +459,14 @@ def test_factor_solves_with_its_basis_after_etas():
         if parent.status != "optimal":
             continue
         columns = parent.basis.columns.copy()
-        factor = simplex._Factor(form.a, columns, form.n_struct)
+        dense = _dense(form)
+        factor = simplex._Factor(form, columns)
         _assert_factor_solves(form, factor, columns, rng)
         factored += 1
-        for q in rng.permutation(form.a.shape[1])[:3]:
+        for q in rng.permutation(dense.shape[1])[:3]:
             if q in columns:
                 continue
-            col = factor.ftran(form.a[:, q])
+            col = factor.ftran(dense[:, q])
             r = int(np.argmax(np.abs(col)))
             if abs(col[r]) < 1e-6:
                 continue
