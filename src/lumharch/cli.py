@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import hierarchy
-from .model import Mode, build_model, check_feasible, emit_lp, extract_structures, import_solution
+from .model import IlpModel, Mode, build_model, check_feasible, emit_lp, extract_structures, import_solution
 from .network import (
     BUILTIN_TOPOLOGIES,
     MulticastSession,
@@ -125,17 +125,11 @@ def _load_topology(name_or_path: str, splitters: tuple[str, ...], wavelengths: i
     return net
 
 
-def _solve_one(
-    net: Network, ms: MulticastSession, mode: Mode, node_limit: int
-) -> tuple[SolveReport, hierarchy.LightStructureSet | None, float]:
+def _solve_one(net: Network, ms: MulticastSession, mode: Mode, node_limit: int) -> tuple[SolveReport, float]:
     t0 = time.perf_counter()
     model = build_model(net, ms, mode=mode, connectivity=True)
     report = solve(model, SolveOptions(node_limit=node_limit))
-    elapsed = time.perf_counter() - t0
-    lss = None
-    if report.assignment is not None and report.status is SolveStatus.OPTIMAL:
-        lss = extract_structures(model, report.assignment, net, ms)
-    return report, lss, elapsed
+    return report, time.perf_counter() - t0
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
@@ -152,13 +146,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
     lh_total = lt_total = 0
     for sid, ms in enumerate(sessions):
         per_mode = {mode.value: _solve_one(net, ms, mode, cfg.node_limit) for mode in cfg.modes}
-        all_optimal = all(rep.status is SolveStatus.OPTIMAL for rep, _, _ in per_mode.values())
+        all_optimal = all(rep.status is SolveStatus.OPTIMAL for rep, _ in per_mode.values())
         if not all_optimal:
             metrics.excluded += 1
         for mode in cfg.modes:
-            rep, lss, elapsed = per_mode[mode.value]
+            rep, elapsed = per_mode[mode.value]
             optimal = rep.status is SolveStatus.OPTIMAL
-            cps_used = bool(lss is not None and hierarchy.uses_cps(lss, net))
+            cps_used = bool(rep.structures is not None and hierarchy.uses_cps(rep.structures, net))
             dests = ";".join(ms.sorted_destinations(net))
             ms_field = str(int(elapsed * 1000)) if cfg.timing else ""
             lines.append(
@@ -203,6 +197,11 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dest", required=True, help="comma-separated destination ids")
 
 
+def _add_model_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=["lh", "lt"], default="lh")
+    p.add_argument("--no-connectivity", action="store_true", help="drop the flow connectivity layer")
+
+
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-limit", type=int, default=1_000_000)
     p.add_argument("--time-limit-ms", type=int, default=None)
@@ -212,12 +211,17 @@ def _splitters(args: argparse.Namespace) -> tuple[str, ...]:
     return tuple(x for x in args.splitters.split(",") if x)
 
 
-def _session(net: Network, args: argparse.Namespace) -> MulticastSession:
-    return make_session(net, args.source, [d for d in args.dest.split(",") if d])
+def _network_session(args: argparse.Namespace) -> tuple[Network, MulticastSession]:
+    net = _load_topology(args.topology, _splitters(args), args.wavelengths)
+    return net, make_session(net, args.source, [d for d in args.dest.split(",") if d])
 
 
-def _print_report(net: Network, report: SolveReport, lss: hierarchy.LightStructureSet | None, out) -> None:
-    """``lss`` is the optimal structures, None when the solve is not optimal."""
+def _model(args: argparse.Namespace) -> IlpModel:
+    net, ms = _network_session(args)
+    return build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
+
+
+def _print_report(net: Network, report: SolveReport, out) -> None:
     print(f"status: {report.status.value}", file=out)
     if report.objective is not None:
         print(f"objective: {report.objective}", file=out)
@@ -225,6 +229,7 @@ def _print_report(net: Network, report: SolveReport, lss: hierarchy.LightStructu
         print(f"wavelengths: {report.wavelength_count}", file=out)
     print(f"nodes explored: {report.nodes_explored}", file=out)
     print(f"lp iterations: {report.lp_iterations}", file=out)
+    lss = report.structures
     if lss is not None:
         print(hierarchy.format_dump(lss, net), end="", file=out)
         cps = sorted({m for ls in lss.structures for m in hierarchy.cps_nodes(ls, net)})
@@ -233,16 +238,11 @@ def _print_report(net: Network, report: SolveReport, lss: hierarchy.LightStructu
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    net = _load_topology(args.topology, _splitters(args), args.wavelengths)
-    ms = _session(net, args)
-    model = build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
+    model = _model(args)
     report = solve(model, SolveOptions(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms))
-    lss = None
-    if report.status is SolveStatus.OPTIMAL:
-        lss = extract_structures(model, report.assignment, net, ms)
-    _print_report(net, report, lss, sys.stdout)
-    if args.dump and lss is not None:
-        Path(args.dump).write_text(hierarchy.format_dump(lss, net), encoding="utf-8")
+    _print_report(model.net, report, sys.stdout)
+    if args.dump and report.structures is not None:
+        Path(args.dump).write_text(hierarchy.format_dump(report.structures, model.net), encoding="utf-8")
     if report.status is SolveStatus.INFEASIBLE:
         return 3
     if report.status is SolveStatus.LIMIT_REACHED:
@@ -251,8 +251,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    net = _load_topology(args.topology, _splitters(args), args.wavelengths)
-    ms = _session(net, args)
+    net, ms = _network_session(args)
     reports = {}
     for mode in (Mode.LH, Mode.LT):
         model = build_model(net, ms, mode=mode, connectivity=True)
@@ -312,8 +311,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    net = _load_topology(args.topology, _splitters(args), args.wavelengths)
-    ms = _session(net, args)
+    net, ms = _network_session(args)
     text = Path(args.dump).read_text(encoding="utf-8")
     lss = hierarchy.parse_dump(text, ms)
     report = hierarchy.validate(net, lss)
@@ -325,10 +323,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_lp(args: argparse.Namespace) -> int:
-    net = _load_topology(args.topology, _splitters(args), args.wavelengths)
-    ms = _session(net, args)
-    model = build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
-    text = emit_lp(model)
+    text = emit_lp(_model(args))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -337,9 +332,7 @@ def _cmd_emit_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_sol(args: argparse.Namespace) -> int:
-    net = _load_topology(args.topology, _splitters(args), args.wavelengths)
-    ms = _session(net, args)
-    model = build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
+    model = _model(args)
     assignment = import_solution(model, Path(args.solution).read_text(encoding="utf-8"))
     report = check_feasible(model, assignment)
     if not report.ok:
@@ -349,8 +342,7 @@ def _cmd_import_sol(args: argparse.Namespace) -> int:
     print(f"objective: {model.objective_value(assignment)}")
     print(f"total cost: {model.cost_value(assignment)}")
     print(f"wavelengths: {model.wavelengths_value(assignment)}")
-    lss = extract_structures(model, assignment, net, ms)
-    print(hierarchy.format_dump(lss, net), end="")
+    print(hierarchy.format_dump(extract_structures(model, assignment), model.net), end="")
     return 0
 
 
@@ -367,8 +359,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve one multicast session")
     _add_topology_args(p)
     _add_session_args(p)
-    p.add_argument("--mode", choices=["lh", "lt"], default="lh")
-    p.add_argument("--no-connectivity", action="store_true", help="drop the flow connectivity layer")
+    _add_model_args(p)
     p.add_argument("--dump", default=None, help="write the optimal structures to this file")
     _add_solver_args(p)
     p.set_defaults(func=_cmd_solve)
@@ -399,16 +390,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("emit-lp", help="write the model in LP text format")
     _add_topology_args(p)
     _add_session_args(p)
-    p.add_argument("--mode", choices=["lh", "lt"], default="lh")
-    p.add_argument("--no-connectivity", action="store_true")
+    _add_model_args(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_emit_lp)
 
     p = sub.add_parser("import-sol", help="import an external solver solution")
     _add_topology_args(p)
     _add_session_args(p)
-    p.add_argument("--mode", choices=["lh", "lt"], default="lh")
-    p.add_argument("--no-connectivity", action="store_true")
+    _add_model_args(p)
     p.add_argument("--solution", required=True, help="file of 'name value' lines")
     p.set_defaults(func=_cmd_import_sol)
 

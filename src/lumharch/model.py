@@ -416,10 +416,9 @@ def check_feasible(model: IlpModel, a: Assignment) -> ValidationReport:
     return ValidationReport(violations=tuple(violations))
 
 
-def extract_structures(
-    model: IlpModel, a: Assignment, net: Network, ms: MulticastSession
-) -> LightStructureSet:
+def extract_structures(model: IlpModel, a: Assignment) -> LightStructureSet:
     """Read the per-wavelength structures out of a feasible assignment."""
+    net, ms = model.net, model.session
     structures = []
     for lam in range(net.wavelengths):
         if a.values[model.wave_index[lam]] != 1:

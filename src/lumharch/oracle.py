@@ -167,13 +167,7 @@ def _guard(net: Network, ms: MulticastSession) -> None:
         raise OracleGuardError(f"too many destinations for the oracle: {len(ms.destinations)} > {MAX_DESTS}")
 
 
-def enumerate_optimal(
-    net: Network,
-    ms: MulticastSession,
-    mode: Mode | str = Mode.LH,
-    *,
-    self_check: bool = False,
-) -> OracleResult:
+def enumerate_optimal(net: Network, ms: MulticastSession, mode: Mode | str = Mode.LH) -> OracleResult:
     """Lexicographic (cost, wavelength count) minimum over all valid sets."""
     mode = Mode(mode) if not isinstance(mode, Mode) else mode
     _guard(net, ms)
@@ -204,28 +198,13 @@ def enumerate_optimal(
             best_partition = ordered
 
     if best is None:
-        result = OracleResult(best_cost=None, best_wavelengths=None, witness=None, explored=explored)
-    else:
-        structures = []
-        for lam, part in enumerate(best_partition):
-            _, links = best_by_subset[frozenset(part)]
-            structures.append(LightStructure(wavelength=lam, root=ms.source, links=links))
-        witness = LightStructureSet(session=ms, structures=tuple(structures))
-        result = OracleResult(
-            best_cost=best[0],
-            best_wavelengths=best[1],
-            witness=witness,
-            explored=explored,
-        )
-
-    if self_check:
-        raw = enumerate_optimal_unpruned(net, ms, mode)
-        if (raw.best_cost, raw.best_wavelengths) != (result.best_cost, result.best_wavelengths):
-            raise AssertionError(
-                f"pruned oracle {result.best_cost}/{result.best_wavelengths} disagrees with "
-                f"raw enumeration {raw.best_cost}/{raw.best_wavelengths}"
-            )
-    return result
+        return OracleResult(best_cost=None, best_wavelengths=None, witness=None, explored=explored)
+    structures = []
+    for lam, part in enumerate(best_partition):
+        _, links = best_by_subset[frozenset(part)]
+        structures.append(LightStructure(wavelength=lam, root=ms.source, links=links))
+    witness = LightStructureSet(session=ms, structures=tuple(structures))
+    return OracleResult(best_cost=best[0], best_wavelengths=best[1], witness=witness, explored=explored)
 
 
 def enumerate_optimal_unpruned(

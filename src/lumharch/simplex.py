@@ -245,27 +245,16 @@ def _solve(form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis | Non
     """The warm attempt from ``warm``, if any, then the cold start."""
     pivots = 0
     if warm is not None:
-        sol, pivots = _dual_simplex(form, lo, up, warm)
-        if sol is not None:
-            return sol
+        try:
+            return _run(form, lo, up, warm, cold=False)
+        except SimplexError as err:
+            pivots = err.pivots
     m, n = form.a.shape
     at_upper = np.zeros(n + m, dtype=bool)
     at_upper[:n] = form.c[:n] < 0
     sol = _run(form, lo, up, Basis(columns=np.arange(n, n + m), at_upper=at_upper), cold=True)
     sol.iterations += pivots
     return sol
-
-
-def _dual_simplex(
-    form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis
-) -> tuple[LpSolution | None, int]:
-    """The warm attempt from ``warm``; returns (None, pivots spent) when it
-    must fall back to the cold start."""
-    try:
-        sol = _run(form, lo, up, warm, cold=False)
-    except SimplexError as err:
-        return None, err.pivots
-    return sol, sol.iterations
 
 
 class _Factor:

@@ -29,8 +29,18 @@ incumbent, or at the deadline (which makes the solve ``LimitReached``).
 They run inside the root node's one ``solve_lp`` call, so every LP is
 still one node and every pivot is counted in ``lp_iterations``.
 
-A single solve is single-threaded and deterministic, counters included;
-distinct models may be solved concurrently.
+Every candidate incumbent, the greedy seed and each integral LP point
+alike, passes one gate, :func:`_checked`: its flows are integralized and
+the whole assignment is checked against the model.  A seed that fails is
+no seed; an LP point that fails can only fail through numerics, so the
+solve ends ``LimitReached`` and the point never becomes the incumbent.
+Every returned assignment has therefore passed :func:`check_feasible`.
+
+A single solve is single-threaded and deterministic, counters included,
+when BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): OpenBLAS
+factorizes basis blocks of 100 or more columns with a threaded algorithm
+that rounds differently, so ``nodes_explored`` can differ under a
+multi-threaded BLAS.  Distinct models may be solved concurrently.
 """
 
 from __future__ import annotations
@@ -83,6 +93,9 @@ class SolveReport:
     lp_iterations: int
     total_cost: int | None = None
     wavelength_count: int | None = None
+    # The structures of an Optimal solve, validated when the flow layer is
+    # on; None for any other status.
+    structures: hierarchy.LightStructureSet | None = None
 
 
 class FlowIntegralizationError(ValueError):
@@ -153,18 +166,13 @@ def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:
 
     The link/wavelength pattern in ``a`` must already be integral.  Raises
     :class:`FlowIntegralizationError` when the pattern admits no integral
-    flow (such a pattern is infeasible and must be pruned).
+    flow.  :func:`solve` drops a greedy seed so rejected, and ends as
+    ``LimitReached`` on a rejected integral LP point (see :func:`_checked`).
     """
     if not model.connectivity:
         return a
-    net, ms = model.net, model.session
-    structures = []
-    for lam in range(net.wavelengths):
-        links = tuple(
-            (u, v) for u, v in net.directed_links if a.values[model.light_index[(u, v, lam)]] == 1
-        )
-        if links:
-            structures.append((lam, links))
+    ms = model.session
+    structures = [(ls.wavelength, ls.links) for ls in extract_structures(model, a).structures]
     flows = service_flow(structures, ms.source, ms.destinations, len(ms.destinations))
     if flows is None:
         raise FlowIntegralizationError("link pattern admits no integral flow")
@@ -173,6 +181,16 @@ def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:
         if v.kind is VarKind.FLOW:
             values[v.index] = flows.get((v.tail, v.head, v.wavelength), 0)
     return Assignment(values=tuple(values))
+
+
+def _checked(model: IlpModel, values: list[int]) -> Assignment | None:
+    """The candidate incumbent with its flows integralized, or None when
+    :func:`integralize_flows` or :func:`check_feasible` rejects it."""
+    try:
+        a = integralize_flows(model, Assignment(values=tuple(values)))
+    except FlowIntegralizationError:
+        return None
+    return a if check_feasible(model, a).ok else None
 
 
 def _greedy_incumbent(model: IlpModel) -> Assignment | None:
@@ -208,13 +226,7 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
             values[model.wave_index[lam]] = 1
             for u, v in links:
                 values[model.light_index[(u, v, lam)]] = 1
-    try:
-        a = integralize_flows(model, Assignment(values=tuple(values)))
-    except FlowIntegralizationError:
-        return None
-    if not check_feasible(model, a).ok:
-        return None
-    return a
+    return _checked(model, values)
 
 
 def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
@@ -246,10 +258,16 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     ]
     stopped_early = False
 
+    def pruned(bound: float) -> bool:
+        """Whether no integral point of LP bound ``bound`` can beat the incumbent."""
+        return (
+            incumbent_obj is not None and math.isfinite(bound) and math.ceil(bound - INT_TOL) >= incumbent_obj
+        )
+
     def separate(sol: LpSolution) -> list[Row]:
         """The next round of root cuts, or none when a stop rule holds."""
         nonlocal stopped_early
-        if incumbent_obj is not None and math.ceil(sol.value - INT_TOL) >= incumbent_obj:
+        if pruned(sol.value):
             return []
         if deadline is not None and time.monotonic() > deadline:
             stopped_early = True
@@ -258,11 +276,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
 
     while heap:
         bound, _, patch, warm = heapq.heappop(heap)
-        if (
-            incumbent_obj is not None
-            and math.isfinite(bound)
-            and math.ceil(bound - INT_TOL) >= incumbent_obj
-        ):
+        if pruned(bound):
             break  # best-first: every remaining node is at least as bad
         if nodes_explored >= opts.node_limit:
             stopped_early = True
@@ -299,7 +313,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             )
         if sol.status == "infeasible":
             continue
-        if incumbent_obj is not None and math.ceil(sol.value - INT_TOL) >= incumbent_obj:
+        if pruned(sol.value):
             continue
 
         x = sol.x
@@ -309,13 +323,9 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         ]
         fractional = [(s, i) for s, i in frac_scores if s > INT_TOL]
         if not fractional:
-            values = [0] * n
-            for v in model.vars:
-                values[v.index] = int(round(x[v.index]))
-            candidate = Assignment(values=tuple(values))
-            try:
-                candidate = integralize_flows(model, candidate)
-            except FlowIntegralizationError:
+            candidate = _checked(model, [int(round(x[i])) for i in range(n)])
+            if candidate is None:
+                numerical_trouble = True
                 continue
             obj = model.objective_value(candidate)
             if incumbent_obj is None or obj < incumbent_obj:
@@ -347,13 +357,11 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             lp_iterations=lp_iterations,
         )
 
+    structures = None
     if status is SolveStatus.OPTIMAL:
-        report = check_feasible(model, incumbent)
-        if not report.ok:
-            raise AssertionError(f"optimal assignment failed re-verification:\n{report}")
+        structures = extract_structures(model, incumbent)
         if model.connectivity:
-            lss = extract_structures(model, incumbent, model.net, model.session)
-            vreport = hierarchy.validate(model.net, lss)
+            vreport = hierarchy.validate(model.net, structures)
             if not vreport.ok:
                 raise AssertionError(f"optimal structures failed validation:\n{vreport}")
 
@@ -365,6 +373,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         lp_iterations=lp_iterations,
         total_cost=model.cost_value(incumbent),
         wavelength_count=model.wavelengths_value(incumbent),
+        structures=structures,
     )
 
 

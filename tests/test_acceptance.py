@@ -100,7 +100,7 @@ def test_criterion_1_fig3_reproduction():
         assert rep_lt.status is SolveStatus.OPTIMAL
         assert rep_lt.total_cost == 9, f"LT optimum {rep_lt.total_cost} != 9"
         assert rep_lh.status is SolveStatus.OPTIMAL
-        lss = extract_structures(model_lh, rep_lh.assignment, net, ms)
+        lss = extract_structures(model_lh, rep_lh.assignment)
         assert any(cps_nodes(ls, net) == {"3"} for ls in lss.structures), "no CPS at node 3"
         # Stated shipping target. The model's true optimum on this topology
         # is 7: destination d2 may tap the signal and send it back
@@ -121,14 +121,14 @@ def test_criterion_2_fig5_regression():
         model_off, rep_off = solve_session(net, ms, Mode.LH, connectivity=False)
         assert rep_off.status is SolveStatus.OPTIMAL
         assert rep_off.total_cost == 3, f"structure-only optimum {rep_off.total_cost} != 3"
-        report_off = validate(net, extract_structures(model_off, rep_off.assignment, net, ms))
+        report_off = validate(net, extract_structures(model_off, rep_off.assignment))
         assert not report_off.ok, "structure-only optimum unexpectedly validates"
         assert "connectivity" in report_off.rules()
 
         model_on, rep_on = solve_session(net, ms, Mode.LH, connectivity=True)
         assert rep_on.status is SolveStatus.OPTIMAL
         assert rep_on.total_cost == 5, f"connected optimum {rep_on.total_cost} != 5"
-        assert validate(net, extract_structures(model_on, rep_on.assignment, net, ms)).ok
+        assert validate(net, extract_structures(model_on, rep_on.assignment)).ok
         assert time.perf_counter() - start < 5.0
 
 
@@ -185,28 +185,23 @@ def test_criterion_5_nsf_directional():
             entry = {}
             for mode in (Mode.LH, Mode.LT):
                 model = build_model(net, ms, mode=mode, connectivity=True)
-                report = solve(model, opts)
-                lss = None
-                if report.status is SolveStatus.OPTIMAL:
-                    lss = extract_structures(model, report.assignment, net, ms)
-                entry[mode] = (report, lss)
+                entry[mode] = solve(model, opts)
             rows.append(entry)
-        solved = [r for r in rows if all(rep.status is SolveStatus.OPTIMAL for rep, _ in r.values())]
+        solved = [r for r in rows if all(rep.status is SolveStatus.OPTIMAL for rep in r.values())]
         skipped = len(rows) - len(solved)
         if skipped:
             print(f"  (criterion 5: {skipped} session(s) hit solver limits and were excluded)")
         assert len(solved) >= 7, f"only {len(solved)}/10 sessions solved to optimality"
-        lh_cost = sum(r[Mode.LH][0].total_cost for r in solved)
-        lt_cost = sum(r[Mode.LT][0].total_cost for r in solved)
+        lh_cost = sum(r[Mode.LH].total_cost for r in solved)
+        lt_cost = sum(r[Mode.LT].total_cost for r in solved)
         assert lh_cost <= lt_cost, f"LH total {lh_cost} > LT total {lt_cost}"
-        lh_waves = sum(r[Mode.LH][0].wavelength_count for r in solved)
-        lt_waves = sum(r[Mode.LT][0].wavelength_count for r in solved)
+        lh_waves = sum(r[Mode.LH].wavelength_count for r in solved)
+        lt_waves = sum(r[Mode.LT].wavelength_count for r in solved)
         assert lh_waves <= lt_waves, f"LH wavelengths {lh_waves} > LT {lt_waves}"
         for i, r in enumerate(solved):
-            lh_rep, lh_lss = r[Mode.LH]
-            lt_rep, _ = r[Mode.LT]
+            lh_rep, lt_rep = r[Mode.LH], r[Mode.LT]
             if lh_rep.total_cost < lt_rep.total_cost:
-                assert uses_cps(lh_lss, net), f"session {i}: strict saving without CPS"
+                assert uses_cps(lh_rep.structures, net), f"session {i}: strict saving without CPS"
         assert time.perf_counter() - start < 1800.0
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import types
+
 import pytest
 
-from lumharch import builtin_topology, make_session
+from lumharch import builtin_topology, make_session, solver
 from lumharch.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -264,6 +266,22 @@ def test_batch_with_splitters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "LH: solved 2/2" in out and "LT: solved 2/2" in out
+
+
+def test_batch_excludes_a_session_whose_candidates_fail_the_check(tmp_path, capsys, monkeypatch):
+    # A rejected incumbent ends the solve LimitReached: the batch counts the
+    # session as excluded and writes its rows instead of dying.
+    monkeypatch.setattr(solver, "check_feasible", lambda model, a: types.SimpleNamespace(ok=False))
+    csv_path = tmp_path / "out.csv"
+    code = run_cli(
+        "batch", "--topology", "fig3", "--group-size", "2", "--sessions", "1",
+        "--seed", "9", "--csv", str(csv_path),
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "LH: solved 0/1" in out and "excluded (not solved to optimality in every mode): 1" in out
+    rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[7] for row in rows] == ["LimitReached", "LimitReached"]
 
 
 def test_batch_byte_identical(tmp_path):

@@ -169,7 +169,7 @@ def test_check_feasible_flags_bounds(fig3, fig3_session):
 def test_extract_structures_lh_optimum(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
     rep = solve(model)
-    lss = extract_structures(model, rep.assignment, fig3, fig3_session)
+    lss = extract_structures(model, rep.assignment)
     assert len(lss.structures) == 1
     (ls,) = lss.structures
     assert sum(fig3.link_cost[l] for l in ls.links) == rep.total_cost
@@ -179,7 +179,7 @@ def test_extract_structures_lh_optimum(fig3, fig3_session):
 def test_extract_structures_lt_optimum(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LT, True)
     rep = solve(model)
-    lss = extract_structures(model, rep.assignment, fig3, fig3_session)
+    lss = extract_structures(model, rep.assignment)
     assert len(lss.structures) == 2
     assert all(is_light_tree(ls) for ls in lss.structures)
     assert sum(fig3.link_cost[l] for ls in lss.structures for l in ls.links) == 9
@@ -189,7 +189,7 @@ def test_extract_structures_unicast(fig5):
     ms = make_session(fig5, "s", ["d1"])
     model = build_model(fig5, ms, Mode.LH, True)
     rep = solve(model)
-    lss = extract_structures(model, rep.assignment, fig5, ms)
+    lss = extract_structures(model, rep.assignment)
     assert len(lss.structures) == 1
     assert lss.structures[0].links == (("s", "d1"),)
 

@@ -112,7 +112,7 @@ def test_infeasible_reported():
 def test_self_check_pruned_equals_raw(text, source, dests, mode):
     net = parse_network(text)
     ms = make_session(net, source, dests)
-    pruned = enumerate_optimal(net, ms, mode, self_check=True)  # raises on disagreement
+    pruned = enumerate_optimal(net, ms, mode)
     raw = enumerate_optimal_unpruned(net, ms, mode)
     assert (pruned.best_cost, pruned.best_wavelengths) == (raw.best_cost, raw.best_wavelengths)
     if pruned.feasible:
@@ -151,7 +151,9 @@ def test_self_check_on_random_tiny_instances(seed):
         pool[i], pool[j] = pool[j], pool[i]
     ms = make_session(net, source, pool[: 1 + rng.below(2)])
     for mode in (Mode.LH, Mode.LT):
-        enumerate_optimal(net, ms, mode, self_check=True)  # raises on disagreement
+        pruned = enumerate_optimal(net, ms, mode)
+        raw = enumerate_optimal_unpruned(net, ms, mode)
+        assert (pruned.best_cost, pruned.best_wavelengths) == (raw.best_cost, raw.best_wavelengths)
 
 
 def test_lh_never_worse_than_lt():

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from lumharch import Mode, SolveStatus, build_model, builtin_topology, make_session, simplex, solve
 from lumharch.cli import generate_sessions
 from lumharch.network import Network, NodeKind
-from lumharch.simplex import build_standard_form, solve_lp
+from lumharch.simplex import SimplexError, build_standard_form, solve_lp
 from lumharch.solver import _standard_form
 
 FORM_FIELDS = ("a", "sign", "b", "c", "lower", "upper")
@@ -180,16 +180,23 @@ def test_lower_bound_monotonicity_under_branching(fig3, fig3_session):
 
 
 def _record_warm_attempts(monkeypatch):
-    """Record (solution or None, pivots) of every warm attempt."""
+    """Record (solution, pivots) of every warm attempt, or (None, pivots)
+    when it raises and falls back to the cold start."""
     attempts = []
-    dual = simplex._dual_simplex
+    run = simplex._run
 
-    def recorded(*args):
-        result = dual(*args)
-        attempts.append(result)
-        return result
+    def recorded(form, lo, up, start, cold):
+        if cold:
+            return run(form, lo, up, start, cold)
+        try:
+            sol = run(form, lo, up, start, cold)
+        except SimplexError as err:
+            attempts.append((None, err.pivots))
+            raise
+        attempts.append((sol, sol.iterations))
+        return sol
 
-    monkeypatch.setattr(simplex, "_dual_simplex", recorded)
+    monkeypatch.setattr(simplex, "_run", recorded)
     return attempts
 
 
@@ -480,14 +487,9 @@ def test_factor_solves_with_its_basis_after_etas():
 def test_warm_attempts_make_no_tableau_pivots(monkeypatch):
     # Every pivot made, by a warm attempt or by the cold start it falls back
     # to, is counted in lp_iterations.
-    warm_pivots: list[int] = []
+    attempts = _record_warm_attempts(monkeypatch)
     cold_pivots: list[int] = []
-    dual, run = simplex._dual_simplex, simplex._run
-
-    def recorded_dual(*args):
-        result = dual(*args)
-        warm_pivots.append(result[1])
-        return result
+    run = simplex._run
 
     def recorded_run(form, lo, up, start, cold):
         sol = run(form, lo, up, start, cold)
@@ -495,7 +497,6 @@ def test_warm_attempts_make_no_tableau_pivots(monkeypatch):
             cold_pivots.append(sol.iterations)
         return sol
 
-    monkeypatch.setattr(simplex, "_dual_simplex", recorded_dual)
     monkeypatch.setattr(simplex, "_run", recorded_run)
     # NSF seed-1 session 3 in LT mode makes 11-12 warm attempts (cut rounds
     # and children; 11 with BLAS on one thread, 12 with two).
@@ -503,6 +504,7 @@ def test_warm_attempts_make_no_tableau_pivots(monkeypatch):
     session = generate_sessions(net, 3, 4, seed=1)[3]
     report = solve(build_model(net, session, Mode.LT, True))
     assert report.status == SolveStatus.OPTIMAL
+    warm_pivots = [pivots for _, pivots in attempts]
     assert len(warm_pivots) >= 10 and sum(warm_pivots) > 0
     assert sum(warm_pivots) + sum(cold_pivots) == report.lp_iterations
 

@@ -51,7 +51,7 @@ def test_fig3_lh_optimum(fig3, fig3_session):
     assert rep.total_cost == 7
     assert rep.wavelength_count == 1
     assert rep.objective == 3 * 7 + 1 == 22
-    lss = extract_structures(model, rep.assignment, fig3, fig3_session)
+    lss = extract_structures(model, rep.assignment)
     assert len(lss.structures) == 1
     assert cps_nodes(lss.structures[0], fig3) == {"3"}
     assert validate(fig3, lss).ok
@@ -79,7 +79,7 @@ def test_fig4a_splitter_plus_crossing(fig4a):
     ms = make_session(fig4a, "s", ["d1", "d2"])
     model, lh = solve_session(fig4a, ms, Mode.LH)
     assert (lh.total_cost, lh.wavelength_count) == (6, 1)
-    lss = extract_structures(model, lh.assignment, fig4a, ms)
+    lss = extract_structures(model, lh.assignment)
     assert {m for ls in lss.structures for m in cps_nodes(ls, fig4a)} == {"4"}
     _, lt = solve_session(fig4a, ms, Mode.LT)
     assert (lt.total_cost, lt.wavelength_count) == (8, 2)
@@ -97,7 +97,7 @@ def test_fig5_structure_only_vs_connected(fig5, fig5_session):
     model_off, rep_off = solve_session(fig5, fig5_session, Mode.LH, connectivity=False)
     assert rep_off.status is SolveStatus.OPTIMAL
     assert rep_off.total_cost == 3
-    lss = extract_structures(model_off, rep_off.assignment, fig5, fig5_session)
+    lss = extract_structures(model_off, rep_off.assignment)
     report = validate(fig5, lss)
     assert not report.ok
     assert "connectivity" in report.rules()
@@ -105,7 +105,7 @@ def test_fig5_structure_only_vs_connected(fig5, fig5_session):
     model_on, rep_on = solve_session(fig5, fig5_session, Mode.LH, connectivity=True)
     assert rep_on.status is SolveStatus.OPTIMAL
     assert rep_on.total_cost == 5
-    lss_on = extract_structures(model_on, rep_on.assignment, fig5, fig5_session)
+    lss_on = extract_structures(model_on, rep_on.assignment)
     assert validate(fig5, lss_on).ok
 
 
@@ -150,9 +150,41 @@ def test_node_limit_reached():
     model = _branching_model()
     rep = solve(model, SolveOptions(node_limit=1))
     assert rep.status is SolveStatus.LIMIT_REACHED
-    # the greedy incumbent still rides along
+    # the greedy incumbent still rides along, checked, without structures
     assert rep.objective is not None
     assert check_feasible(model, rep.assignment).ok
+    assert rep.structures is None
+
+
+def test_rejected_candidates_end_limit_reached(fig3, fig3_session, monkeypatch):
+    # Every candidate incumbent passes the one gate.  With check_feasible
+    # rejecting all of them there is no greedy seed, and each integral LP
+    # point counts as numerical trouble: the solve ends LimitReached (not
+    # Infeasible, so the tree did reach integral points) with no assignment,
+    # and nothing raises.
+    monkeypatch.setattr(solver, "check_feasible", lambda model, a: types.SimpleNamespace(ok=False))
+    rep = solve(build_model(fig3, fig3_session, Mode.LH, True))
+    assert rep.status is SolveStatus.LIMIT_REACHED
+    assert rep.assignment is None and rep.objective is None and rep.structures is None
+
+
+def test_report_structures_only_when_optimal(fig3, fig3_session, fig5, fig5_session):
+    # An Optimal report carries the structures of its assignment, which has
+    # passed check_feasible; structures are returned without the flow layer
+    # too, where validate does not run.  Any other status carries none.
+    models = [
+        build_model(fig3, fig3_session, Mode.LH, True),
+        build_model(fig3, fig3_session, Mode.LT, True),
+        build_model(fig5, fig5_session, Mode.LH, False),
+        _branching_model(),
+    ]
+    for model in models:
+        rep = solve(model)
+        assert rep.status is SolveStatus.OPTIMAL and check_feasible(model, rep.assignment).ok
+        assert rep.structures == extract_structures(model, rep.assignment)
+    net = parse_network(STAR_W1)
+    _, rep = solve_session(net, make_session(net, "s", ["d1", "d2"]), Mode.LT)
+    assert rep.status is SolveStatus.INFEASIBLE and rep.structures is None
 
 
 def test_bad_options_rejected():
@@ -311,7 +343,7 @@ def test_optimum_extraction_validates(fig3, fig4a, fig4b):
             model, rep = solve_session(net, ms, mode)
             if rep.status is not SolveStatus.OPTIMAL:
                 continue
-            lss = extract_structures(model, rep.assignment, net, ms)
+            lss = extract_structures(model, rep.assignment)
             assert validate(net, lss).ok, f"{mode} on {len(net.node_ids)}-node net"
 
 
