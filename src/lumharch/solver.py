@@ -29,6 +29,13 @@ incumbent, or at the deadline (which makes the solve ``LimitReached``).
 They run inside the root node's one ``solve_lp`` call, so every LP is
 still one node and every pivot is counted in ``lp_iterations``.
 
+The search starts from a greedy seed, :func:`_greedy_incumbent`, a
+structure-attaching placement: each destination joins a wavelength's
+structure at the node already in it that is cheapest to reach it from,
+so the seed branches and crosses MI nodes as light-hierarchies do.  Its
+objective is the first pruning bound, so a tight seed both ends the
+root's cut rounds sooner and leaves fewer children to solve.
+
 Every candidate incumbent, the greedy seed and each integral LP point
 alike, passes one gate, :func:`_checked`: its flows are integralized and
 the whole assignment is checked against the model.  A seed that fails is
@@ -194,30 +201,60 @@ def _checked(model: IlpModel, values: list[int]) -> Assignment | None:
 
 
 def _greedy_incumbent(model: IlpModel) -> Assignment | None:
-    """Shortest-path placement heuristic; returns a feasible assignment or None.
+    """Structure-attaching placement heuristic; returns a feasible assignment
+    or None.
+
+    Prim-style (Takahashi & Matsuyama 1980; the Member-Only rule of Zhang,
+    Wei & Qiao 2000): while destinations remain, each candidate (destination
+    d, wavelength lam, attach node a) reaches d along ``shortest_path(a, d)``
+    from the source or from any node already on a link of lam's structure,
+    and costs the links of that path lam does not use yet.  Candidates are
+    tried in order of new cost, a wavelength in use before an empty one,
+    then the index of d, lam and the index of a; the first whose grown
+    structure passes :func:`hierarchy.structure_violations` (and, for light
+    trees, :func:`hierarchy.is_light_tree`) is placed.  So a destination
+    may branch off at a splitter or cross an MI node through a second port
+    pair, and with one destination this is the source's shortest path on
+    the first wavelength that takes it.  No candidate passing means no seed.
 
     Correctness-neutral: only used to seed the incumbent for pruning.
     """
     net, ms = model.net, model.session
     per_wave: list[list[tuple[str, str]]] = [[] for _ in range(net.wavelengths)]
-    for d in ms.sorted_destinations(net):
-        try:
-            path = net.shortest_path(ms.source, d)
-        except ValueError:
-            return None
-        path_links = list(itertools.pairwise(path))
-        placed = False
-        for lam in range(net.wavelengths):
-            cand = list(dict.fromkeys(per_wave[lam] + path_links))
-            ls = hierarchy.LightStructure(wavelength=lam, root=ms.source, links=tuple(cand))
+    paths: dict[tuple[str, str], list[tuple[str, str]] | None] = {}
+
+    def path_links(a: str, d: str) -> list[tuple[str, str]] | None:
+        if (a, d) not in paths:
+            try:
+                paths[(a, d)] = list(itertools.pairwise(net.shortest_path(a, d)))
+            except ValueError:
+                paths[(a, d)] = None
+        return paths[(a, d)]
+
+    remaining = list(ms.sorted_destinations(net))
+    while remaining:
+        candidates = []
+        for lam, links in enumerate(per_wave):
+            used = set(links)
+            attach = {ms.source} | {m for link in links for m in link}
+            for d in remaining:
+                for a in attach - {d}:
+                    path = path_links(a, d)
+                    if path is None:
+                        continue
+                    new = [link for link in path if link not in used]
+                    key = (sum(net.link_cost[link] for link in new), not links, net.index[d], lam, net.index[a])
+                    candidates.append((key, d, lam, new))
+        for _, d, lam, new in sorted(candidates, key=lambda c: c[0]):
+            ls = hierarchy.LightStructure(wavelength=lam, root=ms.source, links=tuple(per_wave[lam] + new))
             if hierarchy.structure_violations(net, ls, ms.destinations):
                 continue
             if model.mode is Mode.LT and not hierarchy.is_light_tree(ls):
                 continue
-            per_wave[lam] = cand
-            placed = True
+            per_wave[lam] += new
+            remaining.remove(d)
             break
-        if not placed:
+        else:
             return None
 
     values = [0] * len(model.vars)

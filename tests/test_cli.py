@@ -197,9 +197,10 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_solve_limit_exit_code(capsys):
-    # NSF seed-1 |D|=3 session 3 still branches after the root's cut rounds.
+    # NSF seed-1 |D|=4 session 3 in LT mode still branches after the root's
+    # cut rounds.
     code = run_cli(
-        "solve", "--topology", "nsf", "--source", "1", "--dest", "7,13,14", "--node-limit", "1"
+        "solve", "--topology", "nsf", "--source", "12", "--dest", "3,6,7,14", "--mode", "lt", "--node-limit", "1"
     )
     assert code == 4
 

@@ -498,10 +498,10 @@ def test_warm_attempts_make_no_tableau_pivots(monkeypatch):
         return sol
 
     monkeypatch.setattr(simplex, "_run", recorded_run)
-    # NSF seed-1 session 3 in LT mode makes 11-12 warm attempts (cut rounds
-    # and children; 11 with BLAS on one thread, 12 with two).
+    # NSF seed-1 |D|=4 session 3 in LT mode makes 34-36 warm attempts (cut
+    # rounds and children; 36 with BLAS on one thread, 34 with two).
     net = builtin_topology("nsf")
-    session = generate_sessions(net, 3, 4, seed=1)[3]
+    session = generate_sessions(net, 4, 4, seed=1)[3]
     report = solve(build_model(net, session, Mode.LT, True))
     assert report.status == SolveStatus.OPTIMAL
     warm_pivots = [pivots for _, pivots in attempts]

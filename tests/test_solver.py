@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import time
 import types
 
@@ -13,6 +14,7 @@ from lumharch import (
     Mode,
     SolveOptions,
     SolveStatus,
+    VarKind,
     build_model,
     builtin_topology,
     check_feasible,
@@ -130,20 +132,68 @@ def test_determinism_including_counters(fig3, fig3_session):
 
 def test_greedy_incumbent_is_feasible_upper_bound(fig3, fig3_session):
     # The seed only prunes: it must be feasible and never beat the optimum.
-    # On fig3 LH it is strictly worse (29 vs 22), so the check has teeth.
-    for mode in (Mode.LH, Mode.LT):
-        model = build_model(fig3, fig3_session, mode, True)
+    # On fig3 LH, attaching to the structure reaches the optimum (22, where
+    # routing each destination from the source gave 29); on the branching
+    # model it is strictly worse (26 vs 25), so the check has teeth.
+    models = [build_model(fig3, fig3_session, mode, True) for mode in (Mode.LH, Mode.LT)]
+    models.append(_branching_model())
+    objectives = []
+    for model in models:
         seed = solver._greedy_incumbent(model)
         assert seed is not None
         assert check_feasible(model, seed).ok
-        assert model.objective_value(seed) >= solve(model).objective
+        objectives.append((model.objective_value(seed), solve(model).objective))
+        assert objectives[-1][0] >= objectives[-1][1]
+    assert objectives[0] == (22, 22)
+    assert objectives[2][0] > objectives[2][1]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_greedy_incumbent_single_destination_is_shortest_path(seed):
+    # With one destination the only attach node is the source: the seed is
+    # the source's shortest path on wavelength 0, as the nsf-root workload
+    # relies on.
+    net = builtin_topology("nsf")
+    for ms in generate_sessions(net, 1, 70, seed):
+        (d,) = ms.destinations
+        path = list(itertools.pairwise(net.shortest_path(ms.source, d)))
+        for mode in (Mode.LH, Mode.LT):
+            model = build_model(net, ms, mode, True)
+            expected = {model.wave_index[0]} | {model.light_index[(u, v, 0)] for u, v in path}
+            a = solver._greedy_incumbent(model)
+            placed = {v.index for v in model.vars if v.kind in (VarKind.LIGHT, VarKind.WAVE) and a.values[v.index]}
+            assert placed == expected
+
+
+def test_greedy_incumbent_seeds_large_groups():
+    # NSF |D|=8 (generator seed 3): routing every destination from the
+    # source found no seed in 10 of these 12 models; attaching to the
+    # structure finds one in each.
+    net = builtin_topology("nsf")
+    for ms in generate_sessions(net, 8, 6, seed=3):
+        for mode in (Mode.LH, Mode.LT):
+            model = build_model(net, ms, mode, True)
+            seed = solver._greedy_incumbent(model)
+            assert seed is not None and check_feasible(model, seed).ok
+
+
+def test_attaching_seed_closes_large_group_at_the_root():
+    # COST239 MC(3,8), |W|=2, |D|=8, generator-seed-3 session 3 in LH mode:
+    # the source-routed seed (29) left 65 nodes to search; the attached seed
+    # is the optimum, so the root's cut rounds close the solve.
+    net = builtin_topology("cost239", splitters=("3", "8")).with_overrides(wavelengths=2)
+    model = build_model(net, generate_sessions(net, 8, 4, seed=3)[3], Mode.LH, True)
+    rep = solve(model, SolveOptions(node_limit=5))
+    assert rep.status is SolveStatus.OPTIMAL
+    assert rep.objective == 25 == _highs_objective(model)
 
 
 def _branching_model():
-    """NSF seed-1 |D|=3 session 3 in LH mode: it still branches after the
-    root's cut rounds (3 nodes with BLAS on one thread, 4 with two)."""
+    """NSF seed-1 |D|=4 session 3 (source 12, destinations 3, 6, 7, 14) in LT
+    mode: it still branches after the root's cut rounds (9 nodes with BLAS
+    on one thread, 12 with two)."""
     net = builtin_topology("nsf")
-    return build_model(net, generate_sessions(net, 3, 4, seed=1)[3], Mode.LH, True)
+    return build_model(net, generate_sessions(net, 4, 4, seed=1)[3], Mode.LT, True)
 
 
 def test_node_limit_reached():
