@@ -13,16 +13,29 @@ costs.  Structure constraints shape per-wavelength link sets into rooted
 hierarchies (or trees in LT mode); the optional commodity-flow layer pins
 source-to-destination connectivity, which the structure layer alone cannot
 guarantee (a detached cycle can satisfy all local degree rules).
+
+The model holds its constraint matrix once, as arrays (:class:`Rows`): the
+row, column and coefficient of each nonzero, with each row's terms in
+column order, plus a relation code and a right-hand side per row;
+``row_names`` names the rows.  The solver's standard form is one scatter of
+those arrays, and :func:`check_feasible` is one integer matrix-vector
+product and a compare, which names a row only when it fails.
+``IlpModel.constraints`` is a view built on first use, one
+:class:`Constraint` per row, for the LP text and for readers that want
+records.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .hierarchy import LightStructure, LightStructureSet, ValidationReport, Violation
 from .network import MulticastSession, Network
+from .simplex import EQ, GE, LE, Rows
 
 
 class VarKind(enum.Enum):
@@ -35,6 +48,9 @@ class Relation(enum.Enum):
     LE = "<="
     GE = ">="
     EQ = "="
+
+
+_RELATION = {LE: Relation.LE, GE: Relation.GE, EQ: Relation.EQ}
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,26 @@ class IlpModel:
     connectivity: bool
     delta: int
     vars: tuple[VarRef, ...]
-    constraints: tuple[Constraint, ...]
     objective: tuple[tuple[int, int], ...]  # (variable index, coefficient)
+    rows: Rows = field(compare=False, repr=False)
+    row_names: tuple[str, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as records, built on first use."""
+        r = self.rows
+        cols, coefs = r.col.tolist(), r.coef.tolist()
+        ends = np.searchsorted(r.row, np.arange(1, len(r) + 1)).tolist()
+        starts = [0] + ends[:-1]
+        return tuple(
+            Constraint(name, tuple(zip(cols[start:end], coefs[start:end])), _RELATION[rel], rhs)
+            for name, start, end, rel, rhs in zip(self.row_names, starts, ends, r.rel.tolist(), r.rhs.tolist())
+        )
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """The lower and upper bound of each variable, as a 2 x n array."""
+        return np.array([(v.lower, v.upper) for v in self.vars], dtype=np.int64).T
 
     @cached_property
     def by_name(self) -> dict[str, VarRef]:
@@ -148,13 +182,24 @@ def build_model(
         wave[lam] = len(vars_)
         vars_.append(VarRef(VarKind.WAVE, None, None, lam, len(vars_), 0, 1))
 
-    cons: list[Constraint] = []
+    names: list[str] = []
+    counts: list[int] = []  # nonzeros per row
+    cols: list[int] = []
+    coefs: list[int] = []
+    rels: list[int] = []
+    rhss: list[int] = []
 
-    def add(name: str, terms: list[tuple[int, int]], rel: Relation, rhs: int) -> None:
+    def add(name: str, terms: list[tuple[int, int]], rel: int, rhs: int) -> None:
         merged: dict[int, int] = {}
         for idx, coef in terms:
             merged[idx] = merged.get(idx, 0) + coef
-        cons.append(Constraint(name, tuple(sorted(merged.items())), rel, rhs))
+        keys = sorted(merged)
+        names.append(name)
+        counts.append(len(keys))
+        cols.extend(keys)
+        coefs.extend(map(merged.__getitem__, keys))
+        rels.append(rel)
+        rhss.append(rhs)
 
     def l_in(m: str, lam: int) -> list[tuple[int, int]]:
         return [(light[(n, m, lam)], 1) for n in net.neighbors[m]]
@@ -163,59 +208,39 @@ def build_model(
         return [(light[(m, n, lam)], 1) for n in net.neighbors[m]]
 
     # Root: never entered, emits between 1 and |D| links over all wavelengths.
-    add("src_in", [t for lam in waves for t in l_in(s, lam)], Relation.EQ, 0)
+    add("src_in", [t for lam in waves for t in l_in(s, lam)], EQ, 0)
     out_all = [t for lam in waves for t in l_out(s, lam)]
-    add("src_out_lo", out_all, Relation.GE, 1)
-    add("src_out_hi", out_all, Relation.LE, ndest)
+    add("src_out_lo", out_all, GE, 1)
+    add("src_out_hi", out_all, LE, ndest)
 
     # Each destination is spanned at least once; the upper bound (pass-through
     # visits while other destinations are served) degenerates for |D| = 1 and
     # is dropped there.
     for d in dests:
         in_all = [t for lam in waves for t in l_in(d, lam)]
-        add(f"dest_in_lo_{d}", in_all, Relation.GE, 1)
+        add(f"dest_in_lo_{d}", in_all, GE, 1)
         if ndest >= 2:
-            add(f"dest_in_hi_{d}", in_all, Relation.LE, ndest - 1)
+            add(f"dest_in_hi_{d}", in_all, LE, ndest - 1)
 
     for lam in waves:
         for m, _ in net.nodes:
             if m == s:
                 continue
             if net.is_mc(m):
-                add(f"mc_in_{m}_{lam}", l_in(m, lam), Relation.LE, 1)
-                add(
-                    f"mc_out_{m}_{lam}",
-                    l_out(m, lam) + [(i, -net.degree(m)) for i, _ in l_in(m, lam)],
-                    Relation.LE,
-                    0,
-                )
+                add(f"mc_in_{m}_{lam}", l_in(m, lam), LE, 1)
+                add(f"mc_out_{m}_{lam}", l_out(m, lam) + [(i, -net.degree(m)) for i, _ in l_in(m, lam)], LE, 0)
             else:
-                add(
-                    f"mi_out_{m}_{lam}",
-                    l_out(m, lam) + [(i, -1) for i, _ in l_in(m, lam)],
-                    Relation.LE,
-                    0,
-                )
+                add(f"mi_out_{m}_{lam}", l_out(m, lam) + [(i, -1) for i, _ in l_in(m, lam)], LE, 0)
         # Only destinations may be leaves.
         for m, _ in net.nodes:
             if m == s or m in dset:
                 continue
-            add(
-                f"leaf_{m}_{lam}",
-                l_out(m, lam) + [(i, -1) for i, _ in l_in(m, lam)],
-                Relation.GE,
-                0,
-            )
+            add(f"leaf_{m}_{lam}", l_out(m, lam) + [(i, -1) for i, _ in l_in(m, lam)], GE, 0)
 
     for lam in waves:
         for u, v in links:
-            add(f"wave_link_{u}_{v}_{lam}", [(wave[lam], 1), (light[(u, v, lam)], -1)], Relation.GE, 0)
-        add(
-            f"wave_used_{lam}",
-            [(wave[lam], 1)] + [(light[(u, v, lam)], -1) for u, v in links],
-            Relation.LE,
-            0,
-        )
+            add(f"wave_link_{u}_{v}_{lam}", [(wave[lam], 1), (light[(u, v, lam)], -1)], GE, 0)
+        add(f"wave_used_{lam}", [(wave[lam], 1)] + [(light[(u, v, lam)], -1) for u, v in links], LE, 0)
 
     if mode is Mode.LT:
         # Trees: nobody is entered twice; MI nodes pass through or stop.
@@ -223,9 +248,9 @@ def build_model(
             for m, _ in net.nodes:
                 if m == s:
                     continue
-                add(f"tree_in_{m}_{lam}", l_in(m, lam), Relation.LE, 1)
+                add(f"tree_in_{m}_{lam}", l_in(m, lam), LE, 1)
                 if not net.is_mc(m):
-                    add(f"tree_out_{m}_{lam}", l_out(m, lam), Relation.LE, 1)
+                    add(f"tree_out_{m}_{lam}", l_out(m, lam), LE, 1)
 
     if connectivity:
 
@@ -235,42 +260,27 @@ def build_model(
         def f_out(m: str, lam: int) -> list[tuple[int, int]]:
             return [(flowv[(m, n, lam)], 1) for n in net.neighbors[m]]
 
-        add("flow_src", [t for lam in waves for t in f_out(s, lam)], Relation.EQ, ndest)
+        add("flow_src", [t for lam in waves for t in f_out(s, lam)], EQ, ndest)
         for d in dests:
             add(
                 f"flow_dest_{d}",
                 [t for lam in waves for t in f_in(d, lam)]
                 + [(i, -1) for lam in waves for i, _ in f_out(d, lam)],
-                Relation.EQ,
+                EQ,
                 1,
             )
             for lam in waves:
                 diff = f_out(d, lam) + [(i, -1) for i, _ in f_in(d, lam)]
-                add(f"flow_dest_lo_{d}_{lam}", diff, Relation.GE, -1)
-                add(f"flow_dest_hi_{d}_{lam}", diff, Relation.LE, 0)
+                add(f"flow_dest_lo_{d}_{lam}", diff, GE, -1)
+                add(f"flow_dest_hi_{d}_{lam}", diff, LE, 0)
         for lam in waves:
             for m, _ in net.nodes:
                 if m == s or m in dset:
                     continue
-                add(
-                    f"flow_cons_{m}_{lam}",
-                    f_in(m, lam) + [(i, -1) for i, _ in f_out(m, lam)],
-                    Relation.EQ,
-                    0,
-                )
+                add(f"flow_cons_{m}_{lam}", f_in(m, lam) + [(i, -1) for i, _ in f_out(m, lam)], EQ, 0)
             for u, v in links:
-                add(
-                    f"flow_lo_{u}_{v}_{lam}",
-                    [(flowv[(u, v, lam)], 1), (light[(u, v, lam)], -1)],
-                    Relation.GE,
-                    0,
-                )
-                add(
-                    f"flow_hi_{u}_{v}_{lam}",
-                    [(flowv[(u, v, lam)], 1), (light[(u, v, lam)], -ndest)],
-                    Relation.LE,
-                    0,
-                )
+                add(f"flow_lo_{u}_{v}_{lam}", [(flowv[(u, v, lam)], 1), (light[(u, v, lam)], -1)], GE, 0)
+                add(f"flow_hi_{u}_{v}_{lam}", [(flowv[(u, v, lam)], 1), (light[(u, v, lam)], -ndest)], LE, 0)
 
     objective = [
         (light[(u, v, lam)], delta * net.link_cost[(u, v)]) for lam in waves for u, v in links
@@ -283,8 +293,15 @@ def build_model(
         connectivity=connectivity,
         delta=delta,
         vars=tuple(vars_),
-        constraints=tuple(cons),
         objective=tuple(objective),
+        rows=Rows(
+            row=np.repeat(np.arange(len(names)), counts),
+            col=np.array(cols, dtype=np.intp),
+            coef=np.array(coefs, dtype=np.int64),
+            rel=np.array(rels, dtype=np.int8),
+            rhs=np.array(rhss, dtype=np.int64),
+        ),
+        row_names=tuple(names),
     )
 
 
@@ -390,29 +407,25 @@ def import_solution(model: IlpModel, text: str) -> Assignment:
 
 
 def check_feasible(model: IlpModel, a: Assignment) -> ValidationReport:
-    """Evaluate every constraint and bound at the assignment."""
-    violations: list[Violation] = []
+    """Evaluate every bound and constraint at the assignment: one integer
+    matrix-vector product and a compare, naming only the rows that fail."""
     if len(a.values) != len(model.vars):
         raise ValueError("assignment does not cover all variables")
-    for v in model.vars:
-        x = a.values[v.index]
-        if not v.lower <= x <= v.upper:
-            violations.append(
-                Violation("bounds", v.name, f"value {x} outside [{v.lower}, {v.upper}]")
-            )
-    for c in model.constraints:
-        lhs = sum(coef * a.values[i] for i, coef in c.terms)
-        ok = (
-            lhs <= c.rhs
-            if c.relation is Relation.LE
-            else lhs >= c.rhs
-            if c.relation is Relation.GE
-            else lhs == c.rhs
+    x = np.array(a.values, dtype=np.int64)
+    lower, upper = model.bounds
+    violations = [
+        Violation("bounds", v.name, f"value {a.values[v.index]} outside [{v.lower}, {v.upper}]")
+        for v in map(model.vars.__getitem__, np.flatnonzero((x < lower) | (x > upper)))
+    ]
+    r = model.rows
+    lhs = np.zeros(len(r), dtype=np.int64)
+    np.add.at(lhs, r.row, r.coef * x[r.col])
+    slack = r.rhs - lhs
+    for i in np.flatnonzero(np.where(r.rel == EQ, slack != 0, slack * r.rel < 0)):
+        name = model.row_names[i]
+        violations.append(
+            Violation(name, name, f"lhs {lhs[i]} {_RELATION[r.rel[i]].value} {r.rhs[i]} violated (slack {slack[i]})")
         )
-        if not ok:
-            violations.append(
-                Violation(c.name, c.name, f"lhs {lhs} {c.relation.value} {c.rhs} violated (slack {c.rhs - lhs})")
-            )
     return ValidationReport(violations=tuple(violations))
 
 

@@ -1,7 +1,9 @@
 """Bounded-variable dual simplex on a factorized basis.
 
-Solves  min c.x  s.t.  rows of (terms, relation, rhs),  l <= x <= u  with
-finite bounds on all structural variables.
+Solves  min c.x  s.t.  the rows of a :class:`Rows`,  l <= x <= u  with
+finite bounds on all structural variables.  The rows arrive as arrays (the
+row, column and coefficient of each nonzero, a relation code and a
+right-hand side per row), and a form is built from them in one scatter.
 
 One loop, a bounded dual simplex, solves every LP, from one of two starts.
 The cold start (the root, and every fallback) is the slack basis with each
@@ -66,7 +68,7 @@ certificate, or more than four pivots per column, raise
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +110,24 @@ class LpSolution:
     form: StandardForm | None = None  # the form solved, appended rows included
 
 
-Row = tuple[tuple[tuple[int, float], ...], str, float]  # (terms, relation, rhs)
+# Relation codes: the sign that ``rhs - lhs`` may take in a row.
+LE, EQ, GE = 1, 0, -1
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Constraint rows as arrays: nonzero k of the matrix is ``coef[k]`` at
+    ``(row[k], col[k])``, no row holds a column twice, and row i reads
+    ``A_i x  rel[i]  rhs[i]`` with ``rel[i]`` one of ``LE``, ``GE``, ``EQ``."""
+
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rel)
 
 
 @dataclass
@@ -148,51 +167,33 @@ class StandardForm:
         return np.concatenate((y[rows] @ self.a[rows], y * self.sign))
 
 
-def build_standard_form(
-    n_struct: int,
-    objective: list[tuple[int, int]],
-    rows: Sequence[Row],
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> StandardForm:
-    """rows are (terms, relation, rhs) with relation one of '<=', '>=', '='.
+def build_standard_form(c: np.ndarray, rows: Rows, lower: np.ndarray, upper: np.ndarray) -> StandardForm:
+    """The form of ``min c.x`` over ``rows`` and ``lower <= x <= upper``.
     Raises ``ValueError`` on a structural bound that is not finite: the cold
     start is dual feasible only when every structural is boxed."""
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("every structural bound must be finite")
-    c = np.zeros(n_struct)
-    for j, coef in objective:
-        c[j] = float(coef)
-    empty = StandardForm(a=np.zeros((0, n_struct)), sign=np.zeros(0), b=np.zeros(0), c=c, lower=lower, upper=upper)
+    empty = StandardForm(a=np.zeros((0, len(c))), sign=np.zeros(0), b=np.zeros(0), c=c, lower=lower, upper=upper)
     return append_rows(empty, rows)
 
 
-def append_rows(form: StandardForm, rows: Sequence[Row]) -> StandardForm:
+def append_rows(form: StandardForm, rows: Rows) -> StandardForm:
     """A new form with ``rows`` added below the rows of ``form``, each row's
     slack added after the last column, so every old row and column keeps its
     index; ``form`` is left as it is."""
-    k, n = len(rows), form.a.shape[1]
-    a = np.zeros((k, n))
-    b = np.zeros(k)
-    sign = np.ones(k)
-    up = np.full(k, np.inf)
-    for i, (terms, rel, rhs) in enumerate(rows):
-        for j, coef in terms:
-            a[i, j] += coef
-        b[i] = rhs
-        if rel == ">=":
-            sign[i] = -1.0
-        elif rel == "=":
-            up[i] = 0.0
-        elif rel != "<=":
-            raise ValueError(f"bad relation {rel!r}")
+    (m, n), k = form.a.shape, len(rows)
+    if np.any(np.abs(rows.rel) > 1):
+        raise ValueError("bad relation code")
+    a = np.zeros((m + k, n))
+    a[:m] = form.a
+    a[m + rows.row, rows.col] = rows.coef
     return StandardForm(
-        a=np.vstack((form.a, a)),
-        sign=np.concatenate((form.sign, sign)),
-        b=np.concatenate((form.b, b)),
+        a=a,
+        sign=np.concatenate((form.sign, np.where(rows.rel == GE, -1.0, 1.0))),
+        b=np.concatenate((form.b, rows.rhs)),
         c=np.concatenate((form.c, np.zeros(k))),
         lower=np.concatenate((form.lower, np.zeros(k))),
-        upper=np.concatenate((form.upper, up)),
+        upper=np.concatenate((form.upper, np.where(rows.rel == EQ, 0.0, np.inf))),
     )
 
 
@@ -201,7 +202,7 @@ def solve_lp(
     lower_override: np.ndarray | None = None,
     upper_override: np.ndarray | None = None,
     warm: Basis | None = None,
-    separate: Callable[[LpSolution], Sequence[Row]] | None = None,
+    separate: Callable[[LpSolution], Rows] | None = None,
 ) -> LpSolution:
     """Optimize under the overridden structural bounds; ``warm`` is a basis
     that is optimal for the same form under bounds these only tighten.

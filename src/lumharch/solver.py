@@ -67,7 +67,7 @@ from . import hierarchy
 from .flow import _max_flow, service_flow
 from .model import Assignment, IlpModel, Mode, VarKind, build_model, check_feasible, extract_structures
 from .network import MulticastSession, Network
-from .simplex import FEAS_TOL, Basis, LpSolution, Row, SimplexError, StandardForm, build_standard_form, solve_lp
+from .simplex import FEAS_TOL, GE, Basis, LpSolution, Rows, SimplexError, StandardForm, build_standard_form, solve_lp
 
 INT_TOL = 1e-6
 
@@ -110,14 +110,13 @@ class FlowIntegralizationError(ValueError):
 
 
 def _standard_form(model: IlpModel) -> StandardForm:
-    n = len(model.vars)
-    lower = np.array([float(v.lower) for v in model.vars])
-    upper = np.array([float(v.upper) for v in model.vars])
-    rows = [(c.terms, c.relation.value, float(c.rhs)) for c in model.constraints]
-    return build_standard_form(n, list(model.objective), rows, lower, upper)
+    c = np.zeros(len(model.vars))
+    idx, coef = zip(*model.objective)
+    c[list(idx)] = coef
+    return build_standard_form(c, model.rows, *model.bounds)
 
 
-def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], list[Row]]:
+def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], Rows]:
     """A function from the structural values ``x`` of an LP solution to the
     violated directed cuts, one row ``sum L >= 1`` per destination whose
     minimum cut is below 1 (identical cuts once); see the module docstring.
@@ -149,11 +148,11 @@ def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], list[Row]]:
         [add(lam * nn + net.index[d], snk) for lam in range(net.wavelengths)] for d in ms.sorted_destinations(net)
     ]
 
-    def violated(x: np.ndarray) -> list[Row]:
+    def violated(x: np.ndarray) -> Rows:
         mesh = [0.0] * len(to)
         for pos, _, _, j in arcs:
             mesh[pos] = max(float(x[j]), 0.0)
-        rows: dict[tuple[tuple[int, float], ...], Row] = {}
+        cuts: dict[tuple[int, ...], None] = {}
         for sinks in sink_arcs:
             cap = mesh.copy()
             for pos in source_arcs + sinks:
@@ -161,9 +160,15 @@ def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], list[Row]]:
             _, reach = _max_flow(graph, cap, to, src, snk, FEAS_TOL)
             cut = [j for _, tail, head, j in arcs if reach[tail] and not reach[head]]
             if sum(x[j] for j in cut) < 1.0 - INT_TOL:
-                terms = tuple((j, 1.0) for j in sorted(cut))
-                rows.setdefault(terms, (terms, ">=", 1.0))
-        return list(rows.values())
+                cuts[tuple(sorted(cut))] = None
+        k = len(cuts)
+        return Rows(
+            row=np.repeat(np.arange(k), [len(cut) for cut in cuts]),
+            col=np.fromiter(itertools.chain.from_iterable(cuts), np.intp),
+            coef=np.ones(sum(map(len, cuts))),
+            rel=np.full(k, GE, dtype=np.int8),
+            rhs=np.ones(k),
+        )
 
     return violated
 
@@ -231,21 +236,30 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
                 paths[(a, d)] = None
         return paths[(a, d)]
 
-    remaining = list(ms.sorted_destinations(net))
-    while remaining:
-        candidates = []
-        for lam, links in enumerate(per_wave):
-            used = set(links)
-            attach = {ms.source} | {m for link in links for m in link}
-            for d in remaining:
-                for a in attach - {d}:
-                    path = path_links(a, d)
-                    if path is None:
-                        continue
+    def priced(lam: int) -> list[tuple[tuple[int, bool, int, int, int], str, list[tuple[str, str]]]]:
+        """The candidates on wavelength lam, each (sort key, d, new links)."""
+        links = per_wave[lam]
+        used = set(links)
+        attach = {ms.source} | {m for link in links for m in link}
+        out = []
+        for d in remaining:
+            for a in attach - {d}:
+                path = path_links(a, d)
+                if path is not None:
                     new = [link for link in path if link not in used]
                     key = (sum(net.link_cost[link] for link in new), not links, net.index[d], lam, net.index[a])
-                    candidates.append((key, d, lam, new))
-        for _, d, lam, new in sorted(candidates, key=lambda c: c[0]):
+                    out.append((key, d, new))
+        return out
+
+    remaining = list(ms.sorted_destinations(net))
+    # Kept between rounds in key order (keys are unique).  A placement
+    # changes one structure, so only its wavelength is re-priced; the
+    # candidates tried before the placed one failed on structures that did
+    # not change, and stay dropped.
+    pool = sorted(c for lam in range(net.wavelengths) for c in priced(lam))
+    while remaining:
+        for i, (key, d, new) in enumerate(pool):
+            lam = key[3]
             ls = hierarchy.LightStructure(wavelength=lam, root=ms.source, links=tuple(per_wave[lam] + new))
             if hierarchy.structure_violations(net, ls, ms.destinations):
                 continue
@@ -253,6 +267,8 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
                 continue
             per_wave[lam] += new
             remaining.remove(d)
+            kept = [c for c in pool[i + 1 :] if c[1] != d and c[0][3] != lam]
+            pool = sorted(kept + priced(lam))
             break
         else:
             return None
@@ -301,7 +317,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             incumbent_obj is not None and math.isfinite(bound) and math.ceil(bound - INT_TOL) >= incumbent_obj
         )
 
-    def separate(sol: LpSolution) -> list[Row]:
+    def separate(sol: LpSolution) -> Rows:
         """The next round of root cuts, or none when a stop rule holds."""
         nonlocal stopped_early
         if pruned(sol.value):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from lumharch import (
@@ -7,6 +10,7 @@ from lumharch import (
     Mode,
     VarKind,
     build_model,
+    builtin_topology,
     check_feasible,
     emit_lp,
     extract_structures,
@@ -14,6 +18,8 @@ from lumharch import (
     make_session,
     solve,
 )
+from lumharch import solver
+from lumharch.cli import generate_sessions
 from lumharch.hierarchy import cps_nodes, is_light_tree
 from lumharch.model import Relation
 
@@ -97,6 +103,101 @@ def test_emit_lp_shape(fig3, fig3_session):
 def test_emit_lp_deterministic(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
     assert emit_lp(model) == emit_lp(model)
+
+
+# sha256 of emit_lp, recorded before the model held its rows as arrays:
+# fig3 and fig5 with and without the flow layer, and seed-1 |D|=3 sessions
+# 0-2 on NSF and on COST239 with splitters at 3 and 8.
+EMIT_LP_SHA256 = {
+    "fig3-LH-conn": "91e1206eb646622e7ba021ca0375520aa073e25bb3af06d7b1d840a63a3170a8",
+    "fig3-LH-noconn": "1052e9c6396aead49b68d8da084d0230d83d7176235549eaf1690c7a9676084a",
+    "fig3-LT-conn": "3e72b0925ea80221f783ec22c5c8c89e23e84d7655eb2894cf5d46b075461ab8",
+    "fig3-LT-noconn": "a543da44bddeebb3a5e8bdb70185db64c84ac752d1be0d2ba2ac68696b027ab3",
+    "fig5-LH-conn": "c8713ab1bb6acd787a0148464e92ca9e89d7e075cd055090330a78e1002191f5",
+    "fig5-LH-noconn": "7d4d0552156c5de0ccc3b14f598612294960cd67b6499ab432f0079c109f94cf",
+    "fig5-LT-conn": "ad6455de3facaff1f1bb70c24c46e5f3208c7831f2acf43267128900ea8af4fa",
+    "fig5-LT-noconn": "259324a8dcf85e479287c0c067acbff4ec2f8c33273b77a5bfc9101319187dca",
+    "nsf-s0-LH": "7143c8d7697cfa4c9a99f2912afc4f7a81c3543acd18ced9a79ea39ed3f7e9e1",
+    "nsf-s0-LT": "2b7bde9e52c188e1949e1e6e879d5e89f7136543a2cfa9d7d6fefed5c27b4145",
+    "nsf-s1-LH": "721909800748b749d040295cb1d086a59ba0792896db9ccfbf3206578c14306d",
+    "nsf-s1-LT": "f09048ff37dbff8223b6fd85cdf86b5bd60e47c7b067ee0ba4eb4956522f1cfb",
+    "nsf-s2-LH": "9f11991fe66e3a48e398e6bec327930bd332ffb2f01d19ebadb37902a7519e6a",
+    "nsf-s2-LT": "d4904d996aa154992da9485699ec4ef97ed101aa687dc371e6cdafb6705c7664",
+    "cost239-mc38-s0-LH": "311fa466b04f99460277ed7e3bd5459e6f839ac71d4e3144ab468f488aba4b8c",
+    "cost239-mc38-s0-LT": "55c0b807ba31eab068e69b8c96374b405c31711993c9db4931fc9f1fa9e8e72a",
+    "cost239-mc38-s1-LH": "6682bf38d64bcb5490bb3b7631b83681e53cd648b96e3c78e65e0ccdfce9fcf9",
+    "cost239-mc38-s1-LT": "40ffe5e40f1fe4eb0b209827b74e23fdb7be110f85ad2a09f9d222c824bde876",
+    "cost239-mc38-s2-LH": "a98d229b42854f1eb602cf8120d89cb47d4fc50a272c4facdbd47a1602ac8e3a",
+    "cost239-mc38-s2-LT": "e0a5acd50cbde7b757a123217f6d5e153c129161bc9984d7acf3bf07d5abba94",
+}
+
+
+def _pinned_models():
+    fig3, fig5 = builtin_topology("fig3"), builtin_topology("fig5")
+    for name, net, dests in (("fig3", fig3, ["d1", "d2"]), ("fig5", fig5, ["d1", "d2", "d3"])):
+        ms = make_session(net, "s", dests)
+        for mode in (Mode.LH, Mode.LT):
+            for conn in (True, False):
+                yield f"{name}-{mode.value}-{'conn' if conn else 'noconn'}", build_model(net, ms, mode, conn)
+    for name, net in (("nsf", builtin_topology("nsf")), ("cost239-mc38", builtin_topology("cost239", splitters=("3", "8")))):
+        for i, ms in enumerate(generate_sessions(net, 3, 3, seed=1)):
+            for mode in (Mode.LH, Mode.LT):
+                yield f"{name}-s{i}-{mode.value}", build_model(net, ms, mode, True)
+
+
+def test_emit_lp_bytes_are_pinned():
+    digests = {key: hashlib.sha256(emit_lp(model).encode()).hexdigest() for key, model in _pinned_models()}
+    assert digests == EMIT_LP_SHA256
+
+
+def test_model_arrays_leave_equality_and_hashing_alone(fig3, fig3_session):
+    lh, again = build_model(fig3, fig3_session, Mode.LH, True), build_model(fig3, fig3_session, Mode.LH, True)
+    assert lh == again and hash(lh) == hash(again) and lh.rows is not again.rows
+    assert lh != build_model(fig3, fig3_session, Mode.LT, True)
+
+
+def _row_by_row(model, a):
+    """The violations of ``a``, evaluated bound by bound and row by row over
+    ``model.constraints``, as (rule, subject, message)."""
+    out = []
+    for v in model.vars:
+        x = a.values[v.index]
+        if not v.lower <= x <= v.upper:
+            out.append(("bounds", v.name, f"value {x} outside [{v.lower}, {v.upper}]"))
+    for c in model.constraints:
+        lhs = sum(coef * a.values[i] for i, coef in c.terms)
+        ok = {Relation.LE: lhs <= c.rhs, Relation.GE: lhs >= c.rhs, Relation.EQ: lhs == c.rhs}[c.relation]
+        if not ok:
+            out.append((c.name, c.name, f"lhs {lhs} {c.relation.value} {c.rhs} violated (slack {c.rhs - lhs})"))
+    return out
+
+
+def test_check_feasible_matches_a_row_by_row_evaluation(fig3, fig3_session, fig5, fig5_session):
+    # Optimal and greedy-seed assignments, each also with a few entries
+    # moved to -1 .. upper + 1 (bound violations included): the one matvec
+    # names the same violations, in the same order, with the same messages.
+    nsf = builtin_topology("nsf")
+    cases = [(fig3, fig3_session), (fig5, fig5_session)] + [(nsf, ms) for ms in generate_sessions(nsf, 3, 2, seed=1)]
+    rng = random.Random(17)
+    checked = violated = bounds = 0
+    for net, ms in cases:
+        for mode in (Mode.LH, Mode.LT):
+            for conn in (True, False):
+                model = build_model(net, ms, mode, conn)
+                starts = [solve(model).assignment, solver._greedy_incumbent(model)]
+                for start in filter(None, starts):
+                    for k in range(8):
+                        values = list(start.values)
+                        for _ in range(k):
+                            v = model.vars[rng.randrange(len(values))]
+                            values[v.index] = rng.randint(v.lower - 1, v.upper + 1)
+                        a = Assignment(values=tuple(values))
+                        got = [(x.rule, x.subject, x.message) for x in check_feasible(model, a).violations]
+                        assert got == _row_by_row(model, a)
+                        checked += 1
+                        violated += bool(got)
+                        bounds += any(rule == "bounds" for rule, _, _ in got)
+    assert checked == 256 and violated >= 200 and bounds >= 150
 
 
 def test_import_solution_tolerance(fig3, fig3_session):

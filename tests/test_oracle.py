@@ -14,7 +14,7 @@ from lumharch import (
     validate,
 )
 from lumharch.oracle import enumerate_optimal_unpruned
-from lumharch.simplex import solve_lp
+from lumharch.simplex import GE, solve_lp
 
 TINY_TRIANGLE = """
 NODE s MI
@@ -226,7 +226,9 @@ def _root_cuts(model):
 
     def separate(sol):
         rows = separator(sol.x)
-        cuts.extend(rows)
+        for i in range(len(rows)):
+            on = rows.row == i
+            cuts.append((tuple(zip(rows.col[on].tolist(), rows.coef[on].tolist())), rows.rel[i], rows.rhs[i]))
         return rows
 
     return cuts, solve_lp(solver._standard_form(model), separate=separate)
@@ -259,7 +261,7 @@ def test_dicuts_hold_at_the_oracle_optimum(fig3, fig4a, fig4b, fig5):
                 model.light_index[(u, v, ls.wavelength)] for ls in res.witness.structures for u, v in ls.links
             }
             for terms, relation, rhs in cuts:
-                assert relation == ">=" and rhs == 1.0
+                assert relation == GE and rhs == 1.0
                 assert sum(coef for j, coef in terms if j in used) >= 1, (source, dests, mode)
             assert root.value <= model.delta * res.best_cost + res.best_wavelengths + 1e-6
             separated += len(cuts)

@@ -8,8 +8,9 @@ from scipy.optimize import linprog
 
 from lumharch import Mode, SolveStatus, build_model, builtin_topology, make_session, simplex, solve
 from lumharch.cli import generate_sessions
+from lumharch.model import Relation
 from lumharch.network import Network, NodeKind
-from lumharch.simplex import SimplexError, build_standard_form, solve_lp
+from lumharch.simplex import EQ, GE, LE, Rows, SimplexError, build_standard_form, solve_lp
 from lumharch.solver import _standard_form
 
 FORM_FIELDS = ("a", "sign", "b", "c", "lower", "upper")
@@ -63,9 +64,21 @@ def _assert_matches_scipy(sols, lp, lower, upper):
             assert abs(sol.value - ref.fun) <= 1e-6
 
 
+def _rows(rows):
+    """``Rows`` arrays for (terms, relation, rhs) tuples, relation one of
+    '<=', '>=', '='."""
+    return Rows(
+        row=np.repeat(np.arange(len(rows)), [len(terms) for terms, _, _ in rows]),
+        col=np.array([j for terms, _, _ in rows for j, _ in terms], dtype=np.intp),
+        coef=np.array([coef for terms, _, _ in rows for _, coef in terms], dtype=float),
+        rel=np.array([{"<=": LE, ">=": GE, "=": EQ}[rel] for _, rel, _ in rows], dtype=np.int8),
+        rhs=np.array([rhs for _, _, rhs in rows], dtype=float),
+    )
+
+
 def _random_form(lp):
-    n, c, lower, upper, rows, *_ = lp
-    return build_standard_form(n, [(j, c[j]) for j in range(n)], rows, lower, upper)
+    _, c, lower, upper, rows, *_ = lp
+    return build_standard_form(c, _rows(rows), lower, upper)
 
 
 def _dense(form):
@@ -88,13 +101,13 @@ def test_matches_scipy_on_random_lps():
 
 def test_hand_infeasible():
     # x >= 2 with x <= 1
-    form = build_standard_form(1, [(0, 1)], [(((0, 1),), ">=", 2.0)], np.zeros(1), np.ones(1))
+    form = build_standard_form(np.ones(1), _rows([(((0, 1),), ">=", 2.0)]), np.zeros(1), np.ones(1))
     assert solve_lp(form).status == "infeasible"
 
 def test_hand_equality_and_upper_bound():
     # min -x - y  s.t.  x + y = 3, x <= 2, y <= 2
     form = build_standard_form(
-        2, [(0, -1), (1, -1)], [(((0, 1), (1, 1)), "=", 3.0)], np.zeros(2), np.full(2, 2.0)
+        np.array([-1.0, -1.0]), _rows([(((0, 1), (1, 1)), "=", 3.0)]), np.zeros(2), np.full(2, 2.0)
     )
     sol = solve_lp(form)
     assert sol.status == "optimal"
@@ -103,7 +116,7 @@ def test_hand_equality_and_upper_bound():
 
 def test_bound_overrides():
     # min x + y  s.t.  x + y >= 1;  then force x to 1 exactly
-    form = build_standard_form(2, [(0, 1), (1, 1)], [(((0, 1), (1, 1)), ">=", 1.0)], np.zeros(2), np.ones(2))
+    form = build_standard_form(np.ones(2), _rows([(((0, 1), (1, 1)), ">=", 1.0)]), np.zeros(2), np.ones(2))
     free = solve_lp(form)
     assert abs(free.value - 1.0) < 1e-9
     pinned = solve_lp(form, lower_override=np.array([1.0, 0.0]), upper_override=np.array([1.0, 1.0]))
@@ -116,7 +129,7 @@ def test_bound_overrides():
 def test_degenerate_lp_terminates():
     # Many redundant rows pinning the same corner.
     rows = [(((0, 1), (1, 1)), "<=", 1.0)] * 6 + [(((0, 1),), "<=", 1.0), (((1, 1),), "<=", 1.0)]
-    form = build_standard_form(2, [(0, -1), (1, -1)], rows, np.zeros(2), np.ones(2))
+    form = build_standard_form(np.array([-1.0, -1.0]), _rows(rows), np.zeros(2), np.ones(2))
     sol = solve_lp(form)
     assert sol.status == "optimal"
     assert abs(sol.value + 1.0) < 1e-9
@@ -212,7 +225,7 @@ def test_warm_start_matches_cold_on_random_children(monkeypatch):
         n, c, lower, upper, rows, *_ = lp
         if not rows:
             continue
-        form = build_standard_form(n, [(j, c[j]) for j in range(n)], rows, lower, upper)
+        form = build_standard_form(c, _rows(rows), lower, upper)
         parent = solve_lp(form)
         if parent.status != "optimal":
             continue
@@ -247,7 +260,7 @@ def test_appended_rows_match_the_full_lp(monkeypatch):
     rounds = 0
     for _ in range(300):
         lp = _random_lp(rng)
-        n, c, lower, upper, rows, *_ = lp
+        _, c, lower, upper, rows, *_ = lp
         if len(rows) < 2:
             continue
         head, tail = rows[: len(rows) // 2], rows[len(rows) // 2 :]
@@ -255,17 +268,16 @@ def test_appended_rows_match_the_full_lp(monkeypatch):
         fed = len(chunks)
 
         def separate(sol):
-            return chunks.pop(0) if chunks else []
+            return _rows(chunks.pop(0) if chunks else [])
 
-        objective = [(j, c[j]) for j in range(n)]
-        form = build_standard_form(n, objective, head, lower, upper)
+        form = build_standard_form(c, _rows(head), lower, upper)
         sol = solve_lp(form, separate=separate)
         _assert_matches_scipy([sol], lp, lower, upper)
         if sol.status == "optimal":
-            full = build_standard_form(n, objective, rows, lower, upper)
-            first = simplex.append_rows(form, tail)
+            full = build_standard_form(c, _rows(rows), lower, upper)
+            first = simplex.append_rows(form, _rows(tail))
             kept = [(f, {name: getattr(f, name).copy() for name in FORM_FIELDS}) for f in (form, first)]
-            simplex.append_rows(form, head)
+            simplex.append_rows(form, _rows(head))
             for name in FORM_FIELDS:
                 assert np.array_equal(getattr(sol.form, name), getattr(full, name)), name
                 assert np.array_equal(getattr(first, name), getattr(full, name)), name
@@ -290,8 +302,8 @@ def test_form_products_match_the_dense_matrix():
         if not rows:
             continue
         split = int(rng.integers(0, len(rows) + 1))
-        form = build_standard_form(n, [(j, c[j]) for j in range(n)], rows[:split], lower, upper)
-        form = simplex.append_rows(form, rows[split:])
+        form = build_standard_form(c, _rows(rows[:split]), lower, upper)
+        form = simplex.append_rows(form, _rows(rows[split:]))
         dense = _dense(form)
         m, total = dense.shape
         assert (m, total) == (len(rows), n + len(rows)) == (len(form.b), len(form.c))
@@ -308,13 +320,52 @@ def test_form_products_match_the_dense_matrix():
     assert checked >= 80 and signs == {1.0, -1.0}
 
 
+def _form_row_by_row(model):
+    """The fields of the standard form, built row by row from
+    ``model.constraints``."""
+    m, n = len(model.constraints), len(model.vars)
+    a, sign, b, up = np.zeros((m, n)), np.ones(m), np.zeros(m), np.full(m, np.inf)
+    for i, con in enumerate(model.constraints):
+        for j, coef in con.terms:
+            a[i, j] += coef
+        b[i] = con.rhs
+        if con.relation is Relation.GE:
+            sign[i] = -1.0
+        elif con.relation is Relation.EQ:
+            up[i] = 0.0
+    c = np.zeros(n + m)
+    for j, coef in model.objective:
+        c[j] = coef
+    lower = np.array([float(v.lower) for v in model.vars] + [0.0] * m)
+    upper = np.concatenate(([float(v.upper) for v in model.vars], up))
+    return {"a": a, "sign": sign, "b": b, "c": c, "lower": lower, "upper": upper}
+
+
+def test_standard_form_is_the_models_rows_bit_for_bit(fig3, fig3_session, fig5, fig5_session):
+    # The one scatter from the model's arrays gives, byte for byte, the form
+    # a row-by-row build over model.constraints gives, on every kind of row.
+    nsf, cost239 = builtin_topology("nsf"), builtin_topology("cost239", splitters=("3", "8"))
+    cases = [(fig3, fig3_session), (fig5, fig5_session)]
+    cases += [(net, ms) for net in (nsf, cost239) for ms in generate_sessions(net, 3, 2, seed=1)]
+    cases += [(nsf, generate_sessions(nsf, 1, 1, seed=1)[0])]
+    for net, ms in cases:
+        for mode in (Mode.LH, Mode.LT):
+            for conn in (True, False):
+                model = build_model(net, ms, mode, conn)
+                form, expected = _standard_form(model), _form_row_by_row(model)
+                for name in FORM_FIELDS:
+                    got = getattr(form, name)
+                    assert got.dtype == expected[name].dtype and got.shape == expected[name].shape, name
+                    assert got.tobytes() == expected[name].tobytes(), name
+
+
 def test_warm_start_from_basis_with_equality_slack(monkeypatch):
     # min -x - 2y  s.t.  x + y = 1.5,  2x + 2y = 3,  0 <= x, y <= 1.  The rows
     # are dependent, so the optimal basis keeps an equality slack (column 2
     # or 3) basic at zero.
     attempts = _record_warm_attempts(monkeypatch)
     rows = [(((0, 1), (1, 1)), "=", 1.5), (((0, 2), (1, 2)), "=", 3.0)]
-    form = build_standard_form(2, [(0, -1), (1, -2)], rows, np.zeros(2), np.ones(2))
+    form = build_standard_form(np.array([-1.0, -2.0]), _rows(rows), np.zeros(2), np.ones(2))
     parent = solve_lp(form)
     assert parent.status == "optimal" and abs(parent.value + 2.5) < 1e-9
     assert {2, 3} & set(parent.basis.columns.tolist())
@@ -332,7 +383,7 @@ def test_warm_start_on_infeasible_child_falls_back_to_cold(monkeypatch):
     # dual simplex pivots once before its ratio test runs dry; only the cold
     # path may call the child infeasible, and the abandoned pivot is counted.
     rows = [(((0, -3), (1, 4)), "<=", 0.0), (((0, 1), (1, 4)), "=", 5.0)]
-    form = build_standard_form(2, [(0, 3), (1, -4)], rows, np.zeros(2), np.full(2, 3.0))
+    form = build_standard_form(np.array([3.0, -4.0]), _rows(rows), np.zeros(2), np.full(2, 3.0))
     parent = solve_lp(form)
     assert parent.status == "optimal" and np.allclose(parent.x, [1.25, 0.9375])
     lo, up = np.zeros(2), np.array([3.0, 0.0])
@@ -436,7 +487,7 @@ def test_standard_form_rejects_unbounded_structurals():
         (np.array([0.0, np.nan]), np.ones(2)),
     ):
         with pytest.raises(ValueError, match="finite"):
-            build_standard_form(2, [(0, 1)], rows, lower, upper)
+            build_standard_form(np.array([1.0, 0.0]), _rows(rows), lower, upper)
 
 
 def _assert_factor_solves(form, factor, columns, rng):
@@ -459,7 +510,7 @@ def test_factor_solves_with_its_basis_after_etas():
         if lp[4]:
             forms.append(_random_form(lp))
     rows = [(((0, 1), (1, 1)), "=", 1.5), (((0, 2), (1, 2)), "=", 3.0)]
-    forms.append(build_standard_form(2, [(0, -1), (1, -2)], rows, np.zeros(2), np.ones(2)))
+    forms.append(build_standard_form(np.array([-1.0, -2.0]), _rows(rows), np.zeros(2), np.ones(2)))
     factored = etas = 0
     for form in forms:
         parent = solve_lp(form)
@@ -520,7 +571,7 @@ def test_singular_structural_block_falls_back_to_cold(monkeypatch):
     lo, up = np.zeros(2), np.array([1.0, 2.0])
     for eps in (0.0, 1e-13):
         rows = [(((0, 1), (1, 1)), "<=", 3.0), (((0, 2), (1, 2 + eps)), "<=", 8.0)]
-        form = build_standard_form(2, [(0, -1), (1, -1)], rows, np.zeros(2), np.full(2, 2.0))
+        form = build_standard_form(np.array([-1.0, -1.0]), _rows(rows), np.zeros(2), np.full(2, 2.0))
         cold = solve_lp(form, lo, up)
         attempts = _record_warm_attempts(monkeypatch)
         warm = solve_lp(form, lo, up, warm=singular)
