@@ -6,7 +6,9 @@ most the full demand, pass-through nodes conserve flow, and each
 destination absorbs exactly one unit over the whole structure set (at most
 one per wavelength).  Deciding whether such a flow exists is a feasible
 circulation problem with lower bounds, reduced here to plain max-flow
-(Edmonds-Karp).  All arc orderings are deterministic.
+(Edmonds-Karp, :func:`max_flow`, which the solver's directed-cut
+separator also runs on float capacities).  All arc orderings are
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,79 +24,55 @@ def feasible_flow(arcs: list[Arc], balances: dict[object, int]) -> list[int] | N
     ``balances[v]`` is the required net outflow of v (positive = producer).
     Arcs are (tail, head, lower, upper) with 0 <= lower <= upper.
     """
-    nodes: list[object] = []
-    seen: set[object] = set()
-    for t, h, _, _ in arcs:
-        for v in (t, h):
-            if v not in seen:
-                seen.add(v)
-                nodes.append(v)
-    for v in balances:
-        if v not in seen:
-            seen.add(v)
-            nodes.append(v)
+    if any(lo > up for _, _, lo, up in arcs):
+        return None
+    nodes = list(dict.fromkeys([v for t, h, _, _ in arcs for v in (t, h)] + list(balances)))
+    idx = {v: i for i, v in enumerate(nodes)}
 
     # Shift out the lower bounds: residual problem asks for a [0, u-l] flow
     # with adjusted balances, solved as max-flow from a super source.
-    excess: dict[object, int] = {v: balances.get(v, 0) for v in nodes}
+    excess = [balances.get(v, 0) for v in nodes]
     for t, h, lo, _ in arcs:
-        excess[t] -= lo
-        excess[h] += lo
+        excess[idx[t]] -= lo
+        excess[idx[h]] += lo
+    src, snk = len(nodes), len(nodes) + 1
+    shifted = [(idx[t], idx[h], up - lo) for t, h, lo, up in arcs]
+    supply = [(src, v, e) for v, e in enumerate(excess) if e > 0]
+    demand = [(v, snk, -e) for v, e in enumerate(excess) if e < 0]
 
-    src, snk = ("__src__",), ("__snk__",)
-    idx = {v: i for i, v in enumerate(nodes)}
-    idx[src] = len(idx)
-    idx[snk] = len(idx)
+    sent, flow, _ = max_flow(len(nodes) + 2, shifted + supply + demand, src, snk)
+    if sent != sum(e for _, _, e in supply):
+        return None
+    return [f + lo for f, (_, _, lo, _) in zip(flow, arcs)]
 
-    graph: list[list[int]] = [[] for _ in range(len(idx))]
-    cap: list[int] = []
+
+def max_flow(
+    n: int, arcs: list[tuple[int, int, float]], s: int, t: int, tol: float = 0
+) -> tuple[float, list[float], list[bool]]:
+    """Edmonds-Karp max-flow from s to t over nodes ``0..n-1`` and arcs
+    ``(tail, head, capacity)``.
+
+    Augmenting paths are shortest paths found by breadth-first search,
+    which scans a node's arcs and the reverses of the arcs entering it in
+    the order of ``arcs``, so the flow is deterministic.  A residual
+    capacity counts only above ``tol``: integer capacities with ``tol = 0``
+    augment exactly, and float capacities take a small positive ``tol``.
+    Returns the flow value, the flow on each arc, and per node whether it
+    is reachable from s in the final residual graph; those nodes are the
+    source side of a minimum cut.
+    """
+    # Residual arc 2k is arc k, and 2k + 1 its reverse.
+    graph: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
-    arc_pos: list[int] = []
-
-    def add(u: int, v: int, c: int) -> int:
-        pos = len(cap)
-        graph[u].append(pos)
+    cap: list[float] = []
+    for u, v, c in arcs:
+        graph[u].append(len(to))
         to.append(v)
         cap.append(c)
-        graph[v].append(pos + 1)
+        graph[v].append(len(to))
         to.append(u)
         cap.append(0)
-        return pos
-
-    for t, h, lo, up in arcs:
-        if lo > up:
-            return None
-        arc_pos.append(add(idx[t], idx[h], up - lo))
-
-    need = 0
-    for v in nodes:
-        e = excess[v]
-        if e > 0:
-            add(idx[src], idx[v], e)
-            need += e
-        elif e < 0:
-            add(idx[v], idx[snk], -e)
-
-    sent, _ = _max_flow(graph, cap, to, idx[src], idx[snk])
-    if sent != need:
-        return None
-    return [cap[pos + 1] + arcs[i][2] for i, pos in enumerate(arc_pos)]
-
-
-def _max_flow(
-    graph: list[list[int]], cap: list, to: list[int], s: int, t: int, tol: float = 0
-) -> tuple[float, list[bool]]:
-    """Edmonds-Karp max-flow from s to t on the residual arcs ``cap``, which
-    it updates in place (arc ``pos ^ 1`` is the reverse of arc ``pos``).
-
-    A residual capacity counts only above ``tol``: integer capacities with
-    ``tol = 0`` augment exactly, and float capacities take a small positive
-    ``tol``.  Returns the flow value and, per node, whether it is reachable
-    from s in the final residual graph; those nodes are the source side of
-    a minimum cut.
-    """
     total = 0
-    n = len(graph)
     while True:
         parent_arc = [-1] * n
         parent_arc[s] = -2
@@ -107,7 +85,7 @@ def _max_flow(
                     parent_arc[v] = pos
                     queue.append(v)
         if parent_arc[t] == -1:
-            return total, [p != -1 for p in parent_arc]
+            return total, cap[1::2], [p != -1 for p in parent_arc]
         bottleneck = None
         v = t
         while v != s:

@@ -28,6 +28,7 @@ records.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -372,8 +373,8 @@ def import_solution(model: IlpModel, text: str) -> Assignment:
     """Read `name value` lines into an assignment.
 
     Unknown names and names given twice are rejected; values must be
-    integral within 1e-6 and inside the declared bounds.  Variables not
-    mentioned default to 0.
+    finite, integral within 1e-6 and inside the declared bounds.  Variables
+    not mentioned default to 0.
     """
     values = [0] * len(model.vars)
     first_line: dict[str, int] = {}
@@ -395,6 +396,8 @@ def import_solution(model: IlpModel, text: str) -> Assignment:
             x = float(raw_val)
         except ValueError:
             raise ValueError(f"line {line_no}: bad numeric value {raw_val!r}") from None
+        if not math.isfinite(x):
+            raise ValueError(f"line {line_no}: value {raw_val!r} for {name} is not finite")
         rounded = round(x)
         if abs(x - rounded) > 1e-6:
             raise ValueError(f"line {line_no}: value {x} for {name} is not integral")

@@ -14,8 +14,9 @@ phase 1 is needed; that is why every structural must be boxed, and why
 :func:`build_standard_form` rejects a bound that is not finite.  The warm
 start is a parent's optimal :class:`Basis`: a branch-and-bound child
 differs from its parent only in a structural bound, so the parent's basis
-stays dual feasible and ``solve_lp(..., warm=parent.basis)`` re-optimizes
-from it.
+stays dual feasible and ``solve_lp(form, bounds, warm=parent.basis)``
+re-optimizes from it, where ``bounds`` patches the form's bounds column by
+column, ``{column: (lower, upper)}``.
 
 Rows can be appended to a solved LP (``solve_lp(..., separate=...)``,
 which the solver uses for its root cuts).  :func:`append_rows` puts them
@@ -199,13 +200,13 @@ def append_rows(form: StandardForm, rows: Rows) -> StandardForm:
 
 def solve_lp(
     form: StandardForm,
-    lower_override: np.ndarray | None = None,
-    upper_override: np.ndarray | None = None,
+    bounds: dict[int, tuple[float, float]] | None = None,
     warm: Basis | None = None,
     separate: Callable[[LpSolution], Rows] | None = None,
 ) -> LpSolution:
-    """Optimize under the overridden structural bounds; ``warm`` is a basis
-    that is optimal for the same form under bounds these only tighten.
+    """Optimize with the form's bounds patched by ``bounds``, a map from a
+    column to its ``(lower, upper)``; ``warm`` is a basis that is optimal
+    for the same form under bounds the patch only tightens.
 
     ``separate``, when given, is called with each optimal solution and
     returns rows to add (none ends the rounds).  The rows are appended with
@@ -213,13 +214,9 @@ def solve_lp(
     extended by their slacks.  The returned ``form`` is the form of the last
     round, and ``iterations`` counts the pivots of every round.  Raises
     :class:`SimplexError` when a cold start breaks down."""
-    n = form.a.shape[1]
-    lo = form.lower.copy()
-    up = form.upper.copy()
-    if lower_override is not None:
-        lo[:n] = lower_override
-    if upper_override is not None:
-        up[:n] = upper_override
+    lo, up = form.lower.copy(), form.upper.copy()
+    for j, (low, high) in (bounds or {}).items():
+        lo[j], up[j] = low, high
     if np.any(lo > up + FEAS_TOL):
         return LpSolution(status="infeasible", value=np.inf, x=None, iterations=0, form=form)
     sol = _solve(form, lo, up, warm)

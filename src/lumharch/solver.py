@@ -7,15 +7,18 @@ pure network-flow system with integral extreme points, so an integral
 flow is recovered directly instead of being branched on.  Objective
 values at integral points are computed in exact integer arithmetic.
 Each child's LP is warm-started from its parent's optimal basis, which
-is all an open node stores besides its bound patch.
+is all an open node stores besides its bound patch ``{column: (lower,
+upper)}``; ``solve_lp`` applies the patch to its copy of the form's
+bounds.
 
 Cut-and-branch: the root LP is tightened by rounds of directed cuts
 (Wong 1984; Koch & Martin 1998) before branching, and the whole tree
 then solves the tightened form; children are not separated again.  Per
-destination d, a max-flow on the per-wavelength layered graph (one copy
-of the mesh per wavelength, arc capacities ``x(L_uv_lam)``, a super-source
-on every ``(s, lam)`` and a sink on every ``(d, lam)``) finds a minimum
-cut, and one below 1 becomes the row ``sum of L over the cut >= 1``.  The
+destination d, :func:`flow.max_flow` on the per-wavelength layered graph
+(one copy of the mesh per wavelength, arc capacities ``x(L_uv_lam)``, a
+super-source on every ``(s, lam)`` and a sink on every ``(d, lam)``)
+finds a minimum cut, and one below 1 becomes the row ``sum of L over the
+cut >= 1``.  The
 cuts are valid whenever the commodity-flow layer is on: on each
 wavelength only the source has a net outflow, so a destination absorbs
 its unit along an ``s -> d`` path of positive flow, hence of used links,
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hierarchy
-from .flow import _max_flow, service_flow
+from .flow import max_flow, service_flow
 from .model import Assignment, IlpModel, Mode, VarKind, build_model, check_feasible, extract_structures
 from .network import MulticastSession, Network
 from .simplex import FEAS_TOL, GE, Basis, LpSolution, Rows, SimplexError, StandardForm, build_standard_form, solve_lp
@@ -121,44 +124,28 @@ def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], Rows]:
     violated directed cuts, one row ``sum L >= 1`` per destination whose
     minimum cut is below 1 (identical cuts once); see the module docstring.
 
-    The layered graph is built once: node ``lam * N + i`` is node i on
-    wavelength lam, followed by the super-source and the super-sink.  The
-    sink arcs of every destination are present, and only those of the
-    destination being separated get a capacity."""
+    Node ``lam * N + i`` of the layered graph is node i on wavelength lam,
+    followed by the super-source and the super-sink."""
     net, ms = model.net, model.session
     nn = len(net.nodes)
     src, snk = nn * net.wavelengths, nn * net.wavelengths + 1
-    graph: list[list[int]] = [[] for _ in range(snk + 1)]
-    to: list[int] = []
-
-    def add(u: int, v: int) -> int:
-        graph[u].append(len(to))
-        to.append(v)
-        graph[v].append(len(to))
-        to.append(u)
-        return len(to) - 2
-
-    arcs = []  # (position, tail node, head node, L index) per mesh arc
-    for lam in range(net.wavelengths):
-        for u, v in net.directed_links:
-            tail, head = lam * nn + net.index[u], lam * nn + net.index[v]
-            arcs.append((add(tail, head), tail, head, model.light_index[(u, v, lam)]))
-    source_arcs = [add(src, lam * nn + net.index[ms.source]) for lam in range(net.wavelengths)]
+    arcs = [  # (tail, head, L index) per mesh arc
+        (lam * nn + net.index[u], lam * nn + net.index[v], model.light_index[(u, v, lam)])
+        for lam in range(net.wavelengths)
+        for u, v in net.directed_links
+    ]
+    source_arcs = [(src, lam * nn + net.index[ms.source], math.inf) for lam in range(net.wavelengths)]
     sink_arcs = [
-        [add(lam * nn + net.index[d], snk) for lam in range(net.wavelengths)] for d in ms.sorted_destinations(net)
+        [(lam * nn + net.index[d], snk, math.inf) for lam in range(net.wavelengths)]
+        for d in ms.sorted_destinations(net)
     ]
 
     def violated(x: np.ndarray) -> Rows:
-        mesh = [0.0] * len(to)
-        for pos, _, _, j in arcs:
-            mesh[pos] = max(float(x[j]), 0.0)
+        mesh = [(tail, head, max(float(x[j]), 0.0)) for tail, head, j in arcs]
         cuts: dict[tuple[int, ...], None] = {}
         for sinks in sink_arcs:
-            cap = mesh.copy()
-            for pos in source_arcs + sinks:
-                cap[pos] = math.inf
-            _, reach = _max_flow(graph, cap, to, src, snk, FEAS_TOL)
-            cut = [j for _, tail, head, j in arcs if reach[tail] and not reach[head]]
+            _, _, reach = max_flow(snk + 1, mesh + source_arcs + sinks, src, snk, FEAS_TOL)
+            cut = [j for tail, head, j in arcs if reach[tail] and not reach[head]]
             if sum(x[j] for j in cut) < 1.0 - INT_TOL:
                 cuts[tuple(sorted(cut))] = None
         k = len(cuts)
@@ -290,7 +277,6 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     separates = model.connectivity and len(model.session.destinations) >= 2
     cuts = _dicut_separator(model) if separates else None
     form = _standard_form(model)
-    n = len(model.vars)
     branchable = [v.index for v in model.vars if v.kind in (VarKind.LIGHT, VarKind.WAVE)]
 
     incumbent = _greedy_incumbent(model)
@@ -338,21 +324,9 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             stopped_early = True
             break
 
-        lower = form.lower[:n].copy()
-        upper = form.upper[:n].copy()
-        for idx, (lo, up) in patch.items():
-            lower[idx] = lo
-            upper[idx] = up
-
         nodes_explored += 1
         try:
-            sol = solve_lp(
-                form,
-                lower_override=lower,
-                upper_override=upper,
-                warm=warm,
-                separate=separate if cuts and nodes_explored == 1 else None,
-            )
+            sol = solve_lp(form, patch, warm=warm, separate=separate if cuts and nodes_explored == 1 else None)
         except SimplexError:
             numerical_trouble = True
             continue
@@ -364,19 +338,15 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
                 f" incumbent {incumbent_obj}, open {len(heap)}",
                 file=sys.stderr,
             )
-        if sol.status == "infeasible":
-            continue
-        if pruned(sol.value):
+        if sol.status == "infeasible" or pruned(sol.value):
             continue
 
-        x = sol.x
-        frac_scores = [
-            (min(x[i] - math.floor(x[i] + INT_TOL), math.ceil(x[i] - INT_TOL) - x[i]), i)
-            for i in branchable
-        ]
-        fractional = [(s, i) for s, i in frac_scores if s > INT_TOL]
-        if not fractional:
-            candidate = _checked(model, [int(round(x[i])) for i in range(n)])
+        # The most fractional indicator; argmax takes the lowest index on ties.
+        x = sol.x[branchable]
+        score = np.minimum(x - np.floor(x + INT_TOL), np.ceil(x - INT_TOL) - x)
+        k = int(np.argmax(score))
+        if score[k] <= INT_TOL:
+            candidate = _checked(model, np.rint(sol.x).astype(int).tolist())
             if candidate is None:
                 numerical_trouble = True
                 continue
@@ -386,13 +356,8 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
                 incumbent_obj = obj
             continue
 
-        _, var = max(fractional, key=lambda si: (si[0], -si[1]))
-        one_patch = dict(patch)
-        one_patch[var] = (1.0, 1.0)
-        zero_patch = dict(patch)
-        zero_patch[var] = (0.0, 0.0)
-        heapq.heappush(heap, (sol.value, next(counter), one_patch, sol.basis))
-        heapq.heappush(heap, (sol.value, next(counter), zero_patch, sol.basis))
+        for fixed in (1.0, 0.0):
+            heapq.heappush(heap, (sol.value, next(counter), {**patch, branchable[k]: (fixed, fixed)}, sol.basis))
 
     if stopped_early or numerical_trouble:
         status = SolveStatus.LIMIT_REACHED

@@ -218,6 +218,12 @@ def test_input_validation_exit_code(tmp_path, capsys):
     assert run_cli("batch", "--topology", "fig3", "--group-size", "2", "--modes", ",", "--csv", str(csv)) == 2
     assert "error: no modes requested" in capsys.readouterr().err
     assert not csv.exists()
+    # a value that is not finite is bad input naming its line, not a traceback
+    sol = tmp_path / "inf.sol"
+    sol.write_text("L_s_1_0 inf\n", encoding="utf-8")
+    args = ("import-sol", "--topology", "fig3", "--source", "s", "--dest", "d1,d2", "--solution", str(sol))
+    assert run_cli(*args) == 2
+    assert "error: line 1: value 'inf' for L_s_1_0 is not finite" in capsys.readouterr().err
 
 
 def test_compare_command(capsys):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 
-from lumharch.flow import _max_flow, feasible_flow, service_flow
+from lumharch.flow import feasible_flow, max_flow, service_flow
 
 
 def test_feasible_flow_simple_path():
@@ -100,17 +100,17 @@ def test_service_flow_structure_with_no_consumption_is_rejected():
     assert flows is None
 
 
-def _graph(n, arcs):
-    graph = [[] for _ in range(n)]
-    cap, to = [], []
-    for u, v, c in arcs:
-        graph[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        graph[v].append(len(to))
-        to.append(u)
-        cap.append(0.0)
-    return graph, cap, to
+def _assert_is_flow(n, arcs, s, t, value, flow):
+    """Each arc's flow lies within its capacity, flow is conserved at every
+    node but s and t, and the flow out of s equals the value."""
+    assert len(flow) == len(arcs)
+    assert all(0 <= f <= c for f, (_, _, c) in zip(flow, arcs))
+    net = [0] * n
+    for f, (u, v, _) in zip(flow, arcs):
+        net[u] += f
+        net[v] -= f
+    assert all(net[v] == 0 for v in range(n) if v not in (s, t))
+    assert net[s] == value == -net[t]
 
 
 def test_float_max_flow_returns_the_min_cut_arcs():
@@ -125,20 +125,24 @@ def test_float_max_flow_returns_the_min_cut_arcs():
         (1, 3, 0.5), (1, 4, 0.125), (3, 6, 0.125), (4, 6, 1.0),
         (2, 5, 0.125), (5, 7, inf), (6, 7, inf),
     ]
-    graph, cap, to = _graph(8, arcs)
-    value, reach = _max_flow(graph, cap, to, 0, 7, 1e-9)
+    value, flow, reach = max_flow(8, arcs, 0, 7, 1e-9)
     assert value == 0.375
+    _assert_is_flow(8, arcs, 0, 7, value, flow)
     assert [i for i in range(8) if reach[i]] == [0, 1, 2, 3]
     cut = [(u, v) for u, v, _ in arcs if reach[u] and not reach[v]]
     assert cut == [(1, 4), (3, 6), (2, 5)]
+    assert all(f == c for f, (u, v, c) in zip(flow, arcs) if (u, v) in cut)
     assert sum(c for u, v, c in arcs if (u, v) in cut) == value
 
 
 def test_float_max_flow_counts_residuals_only_above_tol():
     # 1e-12 of residual capacity on 1 -> 2 is below the tolerance: the arc
     # counts as saturated and 2 stays on the sink side.
-    graph, cap, to = _graph(3, [(0, 1, 1.0), (1, 2, 1e-12)])
-    value, reach = _max_flow(graph, cap, to, 0, 2, 1e-9)
+    arcs = [(0, 1, 1.0), (1, 2, 1e-12)]
+    value, flow, reach = max_flow(3, arcs, 0, 2, 1e-9)
     assert value == 0 and reach == [True, True, False]
-    graph, cap, to = _graph(3, [(0, 1, 3), (1, 2, 2)])
-    assert _max_flow(graph, cap, to, 0, 2) == (2, [True, True, False])
+    _assert_is_flow(3, arcs, 0, 2, value, flow)
+    arcs = [(0, 1, 3), (1, 2, 2)]
+    value, flow, reach = max_flow(3, arcs, 0, 2)
+    assert (value, reach) == (2, [True, True, False])
+    _assert_is_flow(3, arcs, 0, 2, value, flow)

@@ -211,6 +211,9 @@ def test_import_solution_rejects_fractional(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
     with pytest.raises(ValueError, match="not integral"):
         import_solution(model, "L_s_1_0 0.5\n")
+    for value in ("inf", "-inf", "1e400", "nan"):
+        with pytest.raises(ValueError, match=f"line 2: value '{value}' for L_s_1_0 is not finite"):
+            import_solution(model, f"# header\nL_s_1_0 {value}\n")
 
 
 def test_import_solution_rejects_unknown_and_bounds(fig3, fig3_session):

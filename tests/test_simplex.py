@@ -119,12 +119,15 @@ def test_bound_overrides():
     form = build_standard_form(np.ones(2), _rows([(((0, 1), (1, 1)), ">=", 1.0)]), np.zeros(2), np.ones(2))
     free = solve_lp(form)
     assert abs(free.value - 1.0) < 1e-9
-    pinned = solve_lp(form, lower_override=np.array([1.0, 0.0]), upper_override=np.array([1.0, 1.0]))
+    pinned = solve_lp(form, {0: (1.0, 1.0)})
     assert pinned.status == "optimal"
     assert abs(pinned.value - 1.0) < 1e-9
     assert abs(pinned.x[0] - 1.0) < 1e-9
-    crossed = solve_lp(form, lower_override=np.array([2.0, 0.0]), upper_override=np.array([1.0, 1.0]))
+    crossed = solve_lp(form, {0: (2.0, 1.0)})
     assert crossed.status == "infeasible"
+    # the patch applies to a copy: the form keeps its own bounds
+    assert form.lower.tolist() == [0.0, 0.0, 0.0]
+    assert form.upper.tolist() == [1.0, 1.0, math.inf]
 
 def test_degenerate_lp_terminates():
     # Many redundant rows pinning the same corner.
@@ -154,7 +157,7 @@ def test_relaxation_with_fixed_pattern_equals_objective(fig3, fig3_session):
     for v in model.vars:
         if v.kind.value in ("L", "w"):
             lower[v.index] = upper[v.index] = float(report.assignment.values[v.index])
-    sol = solve_lp(form, lower_override=lower, upper_override=upper)
+    sol = solve_lp(form, dict(enumerate(zip(lower, upper))))
     assert sol.status == "optimal"
     assert abs(sol.value - report.objective) < 1e-6
 
@@ -187,7 +190,7 @@ def test_lower_bound_monotonicity_under_branching(fig3, fig3_session):
             lo, up = lower.copy(), upper.copy()
             lo[idx] = up[idx] = fixed
             for warm in (None, root.basis):
-                child = solve_lp(form, lower_override=lo, upper_override=up, warm=warm)
+                child = solve_lp(form, dict(enumerate(zip(lo, up))), warm=warm)
                 if child.status == "optimal":
                     assert child.value >= root.value - 1e-6
 
@@ -236,8 +239,9 @@ def test_warm_start_matches_cold_on_random_children(monkeypatch):
                     up[j] = math.floor(parent.x[j] + 1e-9)
                 else:
                     lo[j] = math.ceil(parent.x[j] - 1e-9)
-                cold = solve_lp(form, lo, up)
-                warm = solve_lp(form, lo, up, warm=parent.basis)
+                bounds = dict(enumerate(zip(lo, up)))
+                cold = solve_lp(form, bounds)
+                warm = solve_lp(form, bounds, warm=parent.basis)
                 _assert_matches_scipy([cold, warm], lp, lo, up)
                 assert warm.status == cold.status
                 if cold.status == "optimal":
@@ -369,7 +373,7 @@ def test_warm_start_from_basis_with_equality_slack(monkeypatch):
     parent = solve_lp(form)
     assert parent.status == "optimal" and abs(parent.value + 2.5) < 1e-9
     assert {2, 3} & set(parent.basis.columns.tolist())
-    child = solve_lp(form, np.array([1.0, 0.0]), np.ones(2), warm=parent.basis)
+    child = solve_lp(form, {0: (1.0, 1.0)}, warm=parent.basis)
     assert child.status == "optimal"
     assert abs(child.value + 2.0) < 1e-9
     assert np.allclose(child.x, [1.0, 0.5])
@@ -387,9 +391,10 @@ def test_warm_start_on_infeasible_child_falls_back_to_cold(monkeypatch):
     parent = solve_lp(form)
     assert parent.status == "optimal" and np.allclose(parent.x, [1.25, 0.9375])
     lo, up = np.zeros(2), np.array([3.0, 0.0])
-    cold = solve_lp(form, lo, up)
+    bounds = dict(enumerate(zip(lo, up)))
+    cold = solve_lp(form, bounds)
     attempts = _record_warm_attempts(monkeypatch)
-    warm = solve_lp(form, lo, up, warm=parent.basis)
+    warm = solve_lp(form, bounds, warm=parent.basis)
     assert cold.status == warm.status == "infeasible"
     [(sol, pivots)] = attempts
     assert sol is None and pivots >= 1
@@ -572,9 +577,10 @@ def test_singular_structural_block_falls_back_to_cold(monkeypatch):
     for eps in (0.0, 1e-13):
         rows = [(((0, 1), (1, 1)), "<=", 3.0), (((0, 2), (1, 2 + eps)), "<=", 8.0)]
         form = build_standard_form(np.array([-1.0, -1.0]), _rows(rows), np.zeros(2), np.full(2, 2.0))
-        cold = solve_lp(form, lo, up)
+        bounds = dict(enumerate(zip(lo, up)))
+        cold = solve_lp(form, bounds)
         attempts = _record_warm_attempts(monkeypatch)
-        warm = solve_lp(form, lo, up, warm=singular)
+        warm = solve_lp(form, bounds, warm=singular)
         assert attempts == [(None, 0)]
         assert warm.status == cold.status == "optimal"
         assert abs(warm.value - cold.value) <= 1e-9 and abs(cold.value + 3.0) <= 1e-9

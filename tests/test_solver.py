@@ -130,6 +130,22 @@ def test_determinism_including_counters(fig3, fig3_session):
     assert runs_lt[0] == runs_lt[1]
 
 
+@pytest.mark.parametrize(
+    "topology, connectivity, counters",
+    [("fig3", True, (21, 505)), ("fig4a", True, (11, 244)), ("fig4a", False, (4, 38))],
+)
+def test_branching_search_path_is_pinned(request, topology, connectivity, counters):
+    # Three LT solves of s -> d1, d2 that branch past the root.  Their
+    # (nodes_explored, lp_iterations) read the same whatever the BLAS thread
+    # count, so a change to branching, bound patches or the cut separator
+    # that alters the search path shows here.
+    net = request.getfixturevalue(topology)
+    model = build_model(net, make_session(net, "s", ["d1", "d2"]), Mode.LT, connectivity)
+    rep = solve(model)
+    assert rep.status is SolveStatus.OPTIMAL
+    assert (rep.nodes_explored, rep.lp_iterations) == counters
+
+
 def test_greedy_incumbent_is_feasible_upper_bound(fig3, fig3_session):
     # The seed only prunes: it must be feasible and never beat the optimum.
     # On fig3 LH, attaching to the structure reaches the optimum (22, where
