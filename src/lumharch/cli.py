@@ -10,7 +10,9 @@ structure validation), 3 infeasible, 4 solver limit reached.
 Batch runs are deterministic for a fixed config: sessions come from a
 splitmix64 generator with Fisher-Yates prefix sampling, rows are emitted
 in session order, and wall-clock timing is only written when ``--timing``
-is given (it is the one intrinsically non-reproducible column).
+is given (it is the one intrinsically non-reproducible column).  ``batch``
+and ``compare`` solve each session in LH mode first and hand the result
+to the LT solve as ``SolveOptions.relaxation``.
 """
 
 from __future__ import annotations
@@ -125,13 +127,6 @@ def _load_topology(name_or_path: str, splitters: tuple[str, ...], wavelengths: i
     return net
 
 
-def _solve_one(net: Network, ms: MulticastSession, mode: Mode, node_limit: int) -> tuple[SolveReport, float]:
-    t0 = time.perf_counter()
-    model = build_model(net, ms, mode=mode, connectivity=True)
-    report = solve(model, SolveOptions(node_limit=node_limit))
-    return report, time.perf_counter() - t0
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
     """Solve every session in every requested mode; returns summary + CSV."""
     net = _load_topology(cfg.topology, cfg.splitters, cfg.wavelengths)
@@ -145,7 +140,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsRow, str]:
     both_modes = len(cfg.modes) == 2
     lh_total = lt_total = 0
     for sid, ms in enumerate(sessions):
-        per_mode = {mode.value: _solve_one(net, ms, mode, cfg.node_limit) for mode in cfg.modes}
+        # LH first: its optimum bounds LT from below and closes the LT solve
+        # when it is a tree.  Rows still follow --modes.
+        per_mode = {}
+        relaxation = None
+        for mode in sorted(cfg.modes, key=lambda m: m is Mode.LT):
+            t0 = time.perf_counter()
+            model = build_model(net, ms, mode=mode, connectivity=True)
+            rep = solve(model, SolveOptions(node_limit=cfg.node_limit, relaxation=relaxation))
+            per_mode[mode.value] = rep, time.perf_counter() - t0
+            if mode is Mode.LH:
+                relaxation = model, rep
         all_optimal = all(rep.status is SolveStatus.OPTIMAL for rep, _ in per_mode.values())
         if not all_optimal:
             metrics.excluded += 1
@@ -221,6 +226,17 @@ def _model(args: argparse.Namespace) -> IlpModel:
     return build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
 
 
+def _dump_text(lss: hierarchy.LightStructureSet, net: Network) -> str:
+    """The structure dump, or, when a structure has no rooted port pairing
+    (without the flow layer an optimum may hold a detached cycle), each
+    structure's links and one line saying why no dump exists."""
+    try:
+        return hierarchy.format_dump(lss, net)
+    except ValueError as exc:
+        lines = [f"λ{ls.wavelength} links: {' '.join(f'{u}->{v}' for u, v in ls.links)}" for ls in lss.structures]
+        return "\n".join(lines + [f"no port-pairing dump: {exc}"]) + "\n"
+
+
 def _print_report(net: Network, report: SolveReport, out) -> None:
     print(f"status: {report.status.value}", file=out)
     if report.objective is not None:
@@ -231,7 +247,7 @@ def _print_report(net: Network, report: SolveReport, out) -> None:
     print(f"lp iterations: {report.lp_iterations}", file=out)
     lss = report.structures
     if lss is not None:
-        print(hierarchy.format_dump(lss, net), end="", file=out)
+        print(_dump_text(lss, net), end="", file=out)
         cps = sorted({m for ls in lss.structures for m in hierarchy.cps_nodes(ls, net)})
         if cps:
             print(f"cps nodes: {','.join(cps)}", file=out)
@@ -242,7 +258,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve(model, SolveOptions(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms))
     _print_report(model.net, report, sys.stdout)
     if args.dump and report.structures is not None:
-        Path(args.dump).write_text(hierarchy.format_dump(report.structures, model.net), encoding="utf-8")
+        Path(args.dump).write_text(_dump_text(report.structures, model.net), encoding="utf-8")
     if report.status is SolveStatus.INFEASIBLE:
         return 3
     if report.status is SolveStatus.LIMIT_REACHED:
@@ -253,9 +269,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     net, ms = _network_session(args)
     reports = {}
+    relaxation = None
     for mode in (Mode.LH, Mode.LT):
         model = build_model(net, ms, mode=mode, connectivity=True)
-        reports[mode] = solve(model, SolveOptions(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms))
+        opts = SolveOptions(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms, relaxation=relaxation)
+        reports[mode] = solve(model, opts)
+        relaxation = model, reports[mode]
     for mode, rep in reports.items():
         if rep.status is SolveStatus.OPTIMAL:
             print(f"{mode.value}: cost {rep.total_cost}, wavelengths {rep.wavelength_count}, objective {rep.objective}")
@@ -342,7 +361,7 @@ def _cmd_import_sol(args: argparse.Namespace) -> int:
     print(f"objective: {model.objective_value(assignment)}")
     print(f"total cost: {model.cost_value(assignment)}")
     print(f"wavelengths: {model.wavelengths_value(assignment)}")
-    print(hierarchy.format_dump(extract_structures(model, assignment), model.net), end="")
+    print(_dump_text(extract_structures(model, assignment), model.net), end="")
     return 0
 
 

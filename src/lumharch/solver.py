@@ -39,12 +39,20 @@ so the seed branches and crosses MI nodes as light-hierarchies do.  Its
 objective is the first pruning bound, so a tight seed both ends the
 root's cut rounds sooner and leaves fewer children to solve.
 
-Every candidate incumbent, the greedy seed and each integral LP point
-alike, passes one gate, :func:`_checked`: its flows are integralized and
-the whole assignment is checked against the model.  A seed that fails is
-no seed; an LP point that fails can only fail through numerics, so the
+Every candidate incumbent, the greedy seed, an LH optimum handed over
+as a relaxation (below) and each integral LP point alike, passes one
+gate, :func:`_checked`: its flows are integralized and the whole
+assignment is checked against the model.  A seed that fails is no seed;
+an LP point that fails can only fail through numerics, so the
 solve ends ``LimitReached`` and the point never becomes the incumbent.
 Every returned assignment has therefore passed :func:`check_feasible`.
+
+A solve may be handed the solved LH model of the same session
+(``SolveOptions.relaxation``).  Every light-tree is a light-hierarchy, so
+an Optimal LH objective is a floor under every bound the search prunes
+on, and an LH optimum that passes :func:`_checked` against the model
+ends the solve at once: 0 nodes, 0 pivots, and no standard form, cut
+separator or greedy seed built.
 
 A single solve is single-threaded and deterministic, counters included,
 when BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): OpenBLAS
@@ -62,7 +70,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +94,9 @@ class SolveOptions:
     node_limit: int = 1_000_000
     time_limit_ms: int | None = None
     verbosity: int = 0
+    # The LH model of the same network, session and connectivity with its
+    # report; see :func:`_relaxation_start`.
+    relaxation: tuple[IlpModel, SolveReport] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_limit < 1:
@@ -269,9 +280,36 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
     return _checked(model, values)
 
 
+def _relaxation_start(model: IlpModel, relaxation: tuple[IlpModel, SolveReport]) -> tuple[float, Assignment | None]:
+    """The floor an LH relaxation puts under ``model``'s optimum, and its
+    optimum when that passes :func:`_checked` against ``model``.
+
+    The LT model is the LH model (same variables, objective and rows) plus
+    the ``tree_in``/``tree_out`` rows, so the LH optimum bounds it from
+    below, and an LH optimum the LT model accepts is optimal for it.  A
+    relaxation that is not Optimal gives neither: ``(-inf, None)``.
+    """
+    lh_model, lh_report = relaxation
+    if not (
+        lh_model.mode is Mode.LH
+        and lh_model.net == model.net
+        and lh_model.session == model.session
+        and lh_model.connectivity == model.connectivity
+    ):
+        raise ValueError("relaxation must be the LH model of the same network, session and connectivity")
+    if lh_report.status is not SolveStatus.OPTIMAL:
+        return -math.inf, None
+    return lh_report.objective, _checked(model, list(lh_report.assignment.values))
+
+
 def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     """Minimize the model exactly; see module docstring for the strategy."""
     opts = opts or SolveOptions()
+    floor = -math.inf
+    if opts.relaxation is not None:
+        floor, optimum = _relaxation_start(model, opts.relaxation)
+        if optimum is not None:
+            return _report(model, SolveStatus.OPTIMAL, optimum, 0, 0)
     # Directed cuts are valid only with the flow layer, and with one
     # destination F <= L already implies them.
     separates = model.connectivity and len(model.session.destinations) >= 2
@@ -298,7 +336,9 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     stopped_early = False
 
     def pruned(bound: float) -> bool:
-        """Whether no integral point of LP bound ``bound`` can beat the incumbent."""
+        """Whether no integral point of LP bound ``bound`` (or of the floor)
+        can beat the incumbent."""
+        bound = max(bound, floor)
         return (
             incumbent_obj is not None and math.isfinite(bound) and math.ceil(bound - INT_TOL) >= incumbent_obj
         )
@@ -365,7 +405,14 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         status = SolveStatus.INFEASIBLE
     else:
         status = SolveStatus.OPTIMAL
+    return _report(model, status, incumbent, nodes_explored, lp_iterations)
 
+
+def _report(
+    model: IlpModel, status: SolveStatus, incumbent: Assignment | None, nodes_explored: int, lp_iterations: int
+) -> SolveReport:
+    """The report of a solve ending with ``incumbent``; an Optimal one carries
+    its structures, validated when the flow layer is on."""
     if incumbent is None:
         return SolveReport(
             status=status,
@@ -385,7 +432,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
 
     return SolveReport(
         status=status,
-        objective=incumbent_obj,
+        objective=model.objective_value(incumbent),
         assignment=incumbent,
         nodes_explored=nodes_explored,
         lp_iterations=lp_iterations,

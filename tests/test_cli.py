@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from lumharch import builtin_topology, make_session, solver
+from lumharch import build_model, builtin_topology, make_session, solve, solver
 from lumharch.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -117,6 +117,20 @@ def test_experiment_dominance_small_nsf():
     assert metrics.cost_saving_percent is None or metrics.cost_saving_percent >= 0
 
 
+def test_experiment_rows_follow_modes_whatever_the_solve_order():
+    # LH is solved first in every session, since its optimum bounds and may
+    # close the LT solve, but rows still come in --modes order.
+    base = dict(topology="nsf", group_size=3, session_count=4, seed=1)
+    m_lh_lt, lh_lt = run_experiment(ExperimentConfig(**base, modes=(Mode.LH, Mode.LT)))
+    m_lt_lh, lt_lh = run_experiment(ExperimentConfig(**base, modes=(Mode.LT, Mode.LH)))
+    a = [line.rsplit(",", 1)[0] for line in lh_lt.splitlines()[1:]]  # without the ms column
+    b = [line.rsplit(",", 1)[0] for line in lt_lh.splitlines()[1:]]
+    assert [row.split(",")[3] for row in a] == ["LH", "LT"] * 4
+    assert [row.split(",")[3] for row in b] == ["LT", "LH"] * 4
+    assert a[0::2] == b[1::2] and a[1::2] == b[0::2]
+    assert m_lh_lt == m_lt_lh
+
+
 def test_experiment_deterministic_csv():
     cfg = ExperimentConfig(topology="fig3", group_size=2, session_count=4, seed=11)
     _, first = run_experiment(cfg)
@@ -173,6 +187,34 @@ def test_solve_writes_dump(tmp_path, capsys):
     )
     assert code == 0
     assert dump.read_text(encoding="utf-8").startswith("λ")
+
+
+@pytest.mark.parametrize(
+    "topology, dests, mode", [("fig3", "d1,d2", "lh"), ("fig5", "d1,d2,d3", "lt")]
+)
+def test_no_connectivity_optimum_without_a_port_pairing(tmp_path, capsys, topology, dests, mode):
+    # Without the flow layer these optima hold a detached cycle, which has no
+    # rooted port pairing: solve, --dump and import-sol print its links per
+    # wavelength and say why there is no dump, and exit 0.
+    session = ("--topology", topology, "--source", "s", "--dest", dests, "--mode", mode, "--no-connectivity")
+    dump = tmp_path / "structures.txt"
+    assert run_cli("solve", *session, "--dump", str(dump)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "status: Optimal" in out
+    assert "λ0 links: " in out and "no port-pairing dump: cannot serialize" in out
+    assert dump.read_text(encoding="utf-8") in out
+
+    net = builtin_topology(topology)
+    model = build_model(net, make_session(net, "s", dests.split(",")), Mode(mode.upper()), False)
+    rep = solve(model)
+    sol = tmp_path / "model.sol"
+    sol.write_text("\n".join(f"{v.name} {rep.assignment.values[v.index]}" for v in model.vars), encoding="utf-8")
+    assert run_cli("import-sol", *session, "--solution", str(sol)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"objective: {rep.objective}" in out
+    assert "no port-pairing dump: cannot serialize" in out
 
 
 def test_splitters_replace_a_file_networks_mc_nodes(tmp_path):

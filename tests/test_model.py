@@ -87,6 +87,34 @@ def test_lt_mode_adds_tree_rows(fig3, fig3_session):
     assert "tree_in_3_0" in {c.name for c in lt_mc.constraints}
 
 
+def _relaxation_pairs():
+    """(LH, LT) model pairs: fig3, fig5, NSF and COST239 MC(3,8) sessions at
+    |D| = 1-3, with and without the flow layer."""
+    nets = (
+        builtin_topology("fig3"),
+        builtin_topology("fig5"),
+        builtin_topology("nsf"),
+        builtin_topology("cost239", splitters=("3", "8")),
+    )
+    for net in nets:
+        for size in (1, 2, 3):
+            for ms in generate_sessions(net, size, 2, seed=1):
+                for conn in (True, False):
+                    yield build_model(net, ms, Mode.LH, conn), build_model(net, ms, Mode.LT, conn)
+
+
+def test_lt_model_is_the_lh_model_plus_rows():
+    # SolveOptions.relaxation rests on this: the LT model has the LH model's
+    # variables and objective, and every LH row unchanged, so the LH optimum
+    # bounds the LT optimum from below.  An LH-only row would break that.
+    for lh, lt in _relaxation_pairs():
+        assert lt.vars == lh.vars and lt.objective == lh.objective
+        lt_rows = {c.name: c for c in lt.constraints}
+        for c in lh.constraints:
+            assert lt_rows.get(c.name) == c, (lh.session, lh.connectivity, c.name)
+        assert len(lt_rows) > len(lh.constraints)
+
+
 def test_emit_lp_shape(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
     text = emit_lp(model)

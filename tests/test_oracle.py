@@ -5,11 +5,14 @@ import pytest
 from lumharch import (
     Mode,
     OracleGuardError,
+    SolveOptions,
+    SolveStatus,
     build_model,
     builtin_topology,
     enumerate_optimal,
     make_session,
     parse_network,
+    solve_session,
     solver,
     validate,
 )
@@ -176,14 +179,15 @@ def test_explored_counter_positive(fig5, fig5_session):
     assert res.explored > 0
 
 
-def test_weighted_random_instances_match_solver():
-    # Non-unit costs exercise the cost-based pruning paths on both routes.
-    from lumharch import SolveStatus, solve_session
+def _weighted_random_instances(seed: int, count: int):
+    """Random tiny (network, session) pairs with costs 1-4: 5-7 nodes, a
+    random spanning tree plus up to three edges, 1-2 wavelengths and 1-3
+    destinations."""
     from lumharch.cli import Splitmix64
     from lumharch.network import Network, NodeKind
 
-    rng = Splitmix64(424242)
-    for _ in range(15):
+    rng = Splitmix64(seed)
+    for _ in range(count):
         n = 5 + rng.below(3)
         names = [f"n{i}" for i in range(n)]
         kinds = [NodeKind.MC if rng.below(4) == 0 else NodeKind.MI for _ in range(n)]
@@ -206,16 +210,41 @@ def test_weighted_random_instances_match_solver():
         for i in range(len(pool)):
             j = i + rng.below(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
-        ms = make_session(net, source, pool[: 1 + rng.below(3)])
+        yield net, make_session(net, source, pool[: 1 + rng.below(3)])
+
+
+def _assert_matches_oracle(net, ms, mode, report):
+    res = enumerate_optimal(net, ms, mode)
+    if res.feasible:
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.objective == (net.wavelengths + 1) * res.best_cost + res.best_wavelengths
+    else:
+        assert report.status is SolveStatus.INFEASIBLE
+
+
+def test_weighted_random_instances_match_solver():
+    # Non-unit costs exercise the cost-based pruning paths on both routes.
+    for net, ms in _weighted_random_instances(424242, 15):
         for mode in (Mode.LH, Mode.LT):
-            oracle_res = enumerate_optimal(net, ms, mode)
-            _, report = solve_session(net, ms, mode)
-            if oracle_res.feasible:
-                expected = (net.wavelengths + 1) * oracle_res.best_cost + oracle_res.best_wavelengths
-                assert report.status is SolveStatus.OPTIMAL
-                assert report.objective == expected
-            else:
-                assert report.status is SolveStatus.INFEASIBLE
+            _assert_matches_oracle(net, ms, mode, solve_session(net, ms, mode)[1])
+
+
+def test_lt_with_the_lh_relaxation_matches_oracle(fig3, fig4a, fig4b, fig5):
+    cases = [
+        (fig3, make_session(fig3, "s", ["d1", "d2"])),
+        (fig4a, make_session(fig4a, "s", ["d1", "d2"])),
+        (fig4b, make_session(fig4b, "s", ["d1", "d2"])),
+        (fig5, make_session(fig5, "s", ["d1", "d2", "d3"])),
+        (fig5, make_session(fig5, "d2", ["s", "d3"])),
+    ]
+    for text, dests in ((TINY_TRIANGLE, ["d"]), (TINY_Y, ["d1", "d2"]), (TINY_STAR_MI, ["d1", "d2"])):
+        net = parse_network(text)
+        cases.append((net, make_session(net, "s", dests)))
+    cases += list(_weighted_random_instances(515151, 15))
+    for net, ms in cases:
+        lh_model = build_model(net, ms, Mode.LH, True)
+        relaxation = SolveOptions(relaxation=(lh_model, solver.solve(lh_model)))
+        _assert_matches_oracle(net, ms, Mode.LT, solver.solve(build_model(net, ms, Mode.LT, True), relaxation))
 
 
 def _root_cuts(model):

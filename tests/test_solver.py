@@ -260,6 +260,95 @@ def test_bad_options_rejected():
         SolveOptions(time_limit_ms=0)
 
 
+def _relaxation_sweep():
+    """(network, session) pairs for LT with and without the LH relaxation:
+    fig3 s -> d1, d2, whose LH optimum of 7 returns from d2 and is no tree;
+    fig5 s -> d1, d2, d3; NSF and COST239 MC(3,8) seed-1 |D|=3 sessions 0-5
+    (NSF session 3's LH optimum is no tree either)."""
+    fig3, fig5 = builtin_topology("fig3"), builtin_topology("fig5")
+    cases = [(fig3, make_session(fig3, "s", ["d1", "d2"])), (fig5, make_session(fig5, "s", ["d1", "d2", "d3"]))]
+    for net in (builtin_topology("nsf"), builtin_topology("cost239", splitters=("3", "8"))):
+        cases += [(net, ms) for ms in generate_sessions(net, 3, 6, seed=1)]
+    return cases
+
+
+def test_lh_relaxation_closes_lt_exactly_when_its_optimum_is_a_tree():
+    closed = 0
+    for net, ms in _relaxation_sweep():
+        lh_model, lt_model = build_model(net, ms, Mode.LH, True), build_model(net, ms, Mode.LT, True)
+        lh = solve(lh_model)
+        cold = solve(lt_model)
+        rep = solve(lt_model, SolveOptions(relaxation=(lh_model, lh)))
+        key = (ms.source, sorted(ms.destinations))
+        assert rep.status is cold.status is SolveStatus.OPTIMAL, key
+        assert (rep.objective, rep.total_cost, rep.wavelength_count) == (
+            cold.objective,
+            cold.total_cost,
+            cold.wavelength_count,
+        ), key
+        assert check_feasible(lt_model, rep.assignment).ok and validate(net, rep.structures).ok, key
+        is_tree = check_feasible(lt_model, lh.assignment).ok
+        assert (rep.nodes_explored == rep.lp_iterations == 0) is is_tree, key
+        closed += is_tree
+    assert closed == 12  # all but fig3 and NSF session 3
+
+
+def test_lh_floor_ends_lt_once_an_incumbent_meets_it():
+    # NSF seed-1 |D|=2 session 5: the LH optimum (19) is no tree, but the
+    # LT greedy seed reaches 19 too, so the floor prunes the root node
+    # before its LP, where the solve without it needs one.
+    net = builtin_topology("nsf")
+    ms = generate_sessions(net, 2, 6, seed=1)[5]
+    lh_model, lt_model = build_model(net, ms, Mode.LH, True), build_model(net, ms, Mode.LT, True)
+    lh = solve(lh_model)
+    assert not check_feasible(lt_model, lh.assignment).ok
+    cold = solve(lt_model)
+    rep = solve(lt_model, SolveOptions(relaxation=(lh_model, lh)))
+    assert rep.status is cold.status is SolveStatus.OPTIMAL
+    assert rep.objective == cold.objective == lh.objective == 19
+    assert (cold.nodes_explored, rep.nodes_explored, rep.lp_iterations) == (1, 0, 0)
+
+
+def test_closing_lh_optimum_builds_no_form_cuts_or_seed(fig5, fig5_session, monkeypatch):
+    lh_model = build_model(fig5, fig5_session, Mode.LH, True)
+    relaxation = (lh_model, solve(lh_model))
+    for name in ("_standard_form", "_dicut_separator", "_greedy_incumbent"):
+        monkeypatch.setattr(solver, name, lambda model: pytest.fail("built for a closed solve"))
+    lt_model = build_model(fig5, fig5_session, Mode.LT, True)
+    rep = solve(lt_model, SolveOptions(relaxation=relaxation))
+    assert (rep.status, rep.nodes_explored, rep.lp_iterations) == (SolveStatus.OPTIMAL, 0, 0)
+    assert rep.structures == extract_structures(lt_model, rep.assignment)
+
+
+def test_relaxation_that_is_not_optimal_changes_nothing():
+    # NSF seed-1 |D|=4 session 0 branches in LH mode, so one node leaves it
+    # LimitReached, holding a tree of objective 22 above the LT optimum (19).
+    # The LT report, counters included, is the one without a relaxation.
+    net = builtin_topology("nsf")
+    ms = generate_sessions(net, 4, 1, seed=1)[0]
+    lh_model, lt_model = build_model(net, ms, Mode.LH, True), build_model(net, ms, Mode.LT, True)
+    lh = solve(lh_model, SolveOptions(node_limit=1))
+    assert lh.status is SolveStatus.LIMIT_REACHED and lh.assignment is not None
+    assert solve(lt_model, SolveOptions(relaxation=(lh_model, lh))) == solve(lt_model)
+
+
+def test_relaxation_of_another_model_is_rejected(fig3, fig3_session):
+    lh_model = build_model(fig3, fig3_session, Mode.LH, True)
+    lh = solve(lh_model)
+    lt_model = build_model(fig3, fig3_session, Mode.LT, True)
+    other_session = build_model(fig3, make_session(fig3, "s", ["d1"]), Mode.LT, True)
+    other_network = build_model(fig3.with_overrides(wavelengths=3), fig3_session, Mode.LT, True)
+    other_connectivity = build_model(fig3, fig3_session, Mode.LT, False)
+    for model, relaxation in (
+        (other_session, (lh_model, lh)),
+        (other_network, (lh_model, lh)),
+        (other_connectivity, (lh_model, lh)),
+        (lt_model, (lt_model, solve(lt_model))),
+    ):
+        with pytest.raises(ValueError, match="LH model of the same network, session and connectivity"):
+            solve(model, SolveOptions(relaxation=relaxation))
+
+
 def test_time_limit_reached():
     model = _branching_model()
     rep = solve(model, SolveOptions(time_limit_ms=1))
