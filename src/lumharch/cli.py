@@ -108,8 +108,11 @@ CSV_HEADER = "session_id,source,destinations,mode,cost,wavelengths,cps_used,solv
 
 
 def _load_topology(name_or_path: str, splitters: tuple[str, ...], wavelengths: int | None) -> Network:
+    overrides = {}
     if name_or_path.lower() in BUILTIN_TOPOLOGIES:
-        net = builtin_topology(name_or_path)
+        # Splitters go through builtin_topology, so each load of the same
+        # builtin returns the one network (and its model templates).
+        net = builtin_topology(name_or_path, splitters=splitters or None)
     else:
         path = Path(name_or_path)
         if not path.exists():
@@ -117,9 +120,8 @@ def _load_topology(name_or_path: str, splitters: tuple[str, ...], wavelengths: i
                 f"topology {name_or_path!r} is neither a builtin ({', '.join(BUILTIN_TOPOLOGIES)}) nor a file"
             )
         net = parse_network(path.read_text(encoding="utf-8"))
-    overrides = {}
-    if splitters:
-        overrides["splitters"] = splitters
+        if splitters:
+            overrides["splitters"] = splitters
     if wavelengths is not None:
         overrides["wavelengths"] = wavelengths
     if overrides:

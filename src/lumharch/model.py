@@ -23,14 +23,35 @@ product and a compare, which names a row only when it fails.
 ``IlpModel.constraints`` is a view built on first use, one
 :class:`Constraint` per row, for the LP text and for readers that want
 records.
+
+Most rows do not depend on the session: the per-node, per-wavelength
+rules, the wavelength links, the tree rows and the flow conservation and
+coupling rows.  Those are built once per network, mode and flow-layer
+choice as a template, each row tagged with the node whose rule it states
+and whether a session drops it at its source, or at its source and its
+destinations.  :func:`build_model` builds only the session's own rows
+(``src_*``, ``dest_*``, ``flow_src``, ``flow_dest_*``), keeps the template
+rows with one mask and concatenates the parts in emission order.  The
+variables, the objective and the maps over them (:class:`Columns`) are
+shared per network, flow-layer choice and |D|.  Both live in a table keyed
+by the network that drops an entry with the network that made it, so
+equal networks share one; they are filled on the first build, and their
+arrays and maps are read-only.  Every model's ``rows`` arrays are its own.
+A built-in topology loads as one network per argument set
+(:func:`network.builtin_topology`), so its entry lasts as long as the
+process and repeated batches on it do not rebuild their templates.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,16 +111,55 @@ class Mode(enum.Enum):
 
 
 @dataclass(frozen=True)
+class Columns:
+    """The variables and objective of every model on one network with one
+    flow-layer choice and one |D|, and the maps over them; the models share
+    one instance, so its maps are read-only."""
+
+    vars: tuple[VarRef, ...]
+    objective: tuple[tuple[int, int], ...]  # (variable index, coefficient)
+    light_index: Mapping[tuple[str, str, int], int] = field(compare=False, repr=False)
+    flow_index: Mapping[tuple[str, str, int], int] = field(compare=False, repr=False)
+    wave_index: Mapping[int, int] = field(compare=False, repr=False)
+    by_name: Mapping[str, VarRef] = field(compare=False, repr=False)
+    bounds: np.ndarray = field(compare=False, repr=False)  # 2 x n: lower, upper
+
+
+@dataclass(frozen=True)
 class IlpModel:
     net: Network
     session: MulticastSession
     mode: Mode
     connectivity: bool
     delta: int
-    vars: tuple[VarRef, ...]
-    objective: tuple[tuple[int, int], ...]  # (variable index, coefficient)
+    columns: Columns = field(repr=False)
     rows: Rows = field(compare=False, repr=False)
     row_names: tuple[str, ...] = field(compare=False, repr=False)
+
+    @property
+    def vars(self) -> tuple[VarRef, ...]:
+        return self.columns.vars
+
+    @property
+    def objective(self) -> tuple[tuple[int, int], ...]:
+        return self.columns.objective
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """The lower and upper bound of each variable, as a read-only 2 x n array."""
+        return self.columns.bounds
+
+    @property
+    def by_name(self) -> Mapping[str, VarRef]:
+        return self.columns.by_name
+
+    @property
+    def light_index(self) -> Mapping[tuple[str, str, int], int]:
+        return self.columns.light_index
+
+    @property
+    def wave_index(self) -> Mapping[int, int]:
+        return self.columns.wave_index
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -112,27 +172,6 @@ class IlpModel:
             Constraint(name, tuple(zip(cols[start:end], coefs[start:end])), _RELATION[rel], rhs)
             for name, start, end, rel, rhs in zip(self.row_names, starts, ends, r.rel.tolist(), r.rhs.tolist())
         )
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """The lower and upper bound of each variable, as a 2 x n array."""
-        return np.array([(v.lower, v.upper) for v in self.vars], dtype=np.int64).T
-
-    @cached_property
-    def by_name(self) -> dict[str, VarRef]:
-        return {v.name: v for v in self.vars}
-
-    @cached_property
-    def light_index(self) -> dict[tuple[str, str, int], int]:
-        return {
-            (v.tail, v.head, v.wavelength): v.index
-            for v in self.vars
-            if v.kind is VarKind.LIGHT
-        }
-
-    @cached_property
-    def wave_index(self) -> dict[int, int]:
-        return {v.wavelength: v.index for v in self.vars if v.kind is VarKind.WAVE}
 
     def objective_value(self, a: Assignment) -> int:
         return sum(coef * a.values[i] for i, coef in self.objective)
@@ -148,24 +187,106 @@ class IlpModel:
         return sum(a.values[i] for i in self.wave_index.values())
 
 
-def build_model(
-    net: Network,
-    ms: MulticastSession,
-    mode: Mode | str = Mode.LH,
-    connectivity: bool = True,
-) -> IlpModel:
-    """Build the ILP for one session on one network."""
-    mode = Mode(mode) if not isinstance(mode, Mode) else mode
-    if net.wavelengths < 1:
-        raise ValueError("need at least one wavelength")
-    s = ms.source
-    dests = ms.sorted_destinations(net)
-    dset = ms.destinations
-    ndest = len(dests)
+# A template row states a rule for one node.  A session drops it when that
+# node's level (0 other, 1 destination, 2 source) reaches the row's drop
+# level: _AT_SOURCE rows are dropped at the source, _AT_TERMINALS rows at the
+# source and the destinations, and _NEVER rows are kept.
+_AT_TERMINALS, _AT_SOURCE, _NEVER = 1, 2, 3
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Rows in emission order, as read-only arrays: per row its name, nonzero
+    count, relation, right-hand side, node index and drop level; per nonzero,
+    in row order, its column, its coefficient and whether |D| scales it."""
+
+    names: tuple[str, ...]
+    count: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
+    node: np.ndarray
+    drop: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    scaled: np.ndarray
+
+    def select(self, level: np.ndarray, ndest: int) -> tuple:
+        """(names, count, rel, rhs, col, coef) of the rows a session whose
+        node levels are ``level`` keeps, with the scaled coefficients times
+        ``ndest``."""
+        keep = level[self.node] < self.drop
+        nz = np.repeat(keep, self.count)
+        coef = np.where(self.scaled, ndest * self.coef, self.coef)
+        return compress(self.names, keep), self.count[keep], self.rel[keep], self.rhs[keep], self.col[nz], coef[nz]
+
+
+class _BlockBuilder:
+    """Collects rows one by one; :meth:`add` merges a row's terms by column
+    and orders them by column."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.rows: list[tuple[int, int, int, int, int]] = []  # count, rel, rhs, node, drop
+        self.cols: list[int] = []
+        self.coefs: list[int] = []
+        self.scaled: list[int] = []  # positions of the coefficients |D| multiplies
+
+    def add(
+        self,
+        name: str,
+        terms: list[tuple[int, int]],
+        rel: int,
+        rhs: int,
+        node: int = 0,
+        drop: int = _NEVER,
+        scaled: int | None = None,
+    ) -> None:
+        """Add one row; ``scaled`` names the column whose coefficient |D| multiplies."""
+        merged: dict[int, int] = {}
+        for idx, coef in terms:
+            merged[idx] = merged.get(idx, 0) + coef
+        keys = sorted(merged)
+        if scaled is not None:
+            self.scaled.append(len(self.cols) + keys.index(scaled))
+        self.names.append(name)
+        self.rows.append((len(keys), rel, rhs, node, drop))
+        self.cols.extend(keys)
+        self.coefs.extend(map(merged.__getitem__, keys))
+
+    def block(self) -> _Block:
+        count, rel, rhs, node, drop = np.array(self.rows, dtype=np.int64).reshape(-1, 5).T
+        scaled = np.zeros(len(self.cols), dtype=bool)
+        scaled[self.scaled] = True
+        arrays = [
+            count.astype(np.intp),
+            rel.astype(np.int8),
+            rhs.copy(),
+            node.astype(np.intp),
+            drop.astype(np.int8),
+            np.array(self.cols, dtype=np.intp),
+            np.array(self.coefs, dtype=np.int64),
+            scaled,
+        ]
+        for a in arrays:
+            a.setflags(write=False)
+        return _Block(tuple(self.names), *arrays)
+
+
+# Per network, the shared Columns per (connectivity, |D|) and the template
+# pair per (mode, connectivity).  Keyed by network equality; an entry is
+# dropped with the network that made it.
+_SHARED: weakref.WeakKeyDictionary[Network, dict] = weakref.WeakKeyDictionary()
+
+
+def _shared(table, key, make: Callable[[], object]):
+    """``table[key]``, made and stored on first use."""
+    value = table.get(key)
+    return value if value is not None else table.setdefault(key, make())
+
+
+def _columns(net: Network, connectivity: bool, ndest: int) -> Columns:
     waves = range(net.wavelengths)
     links = net.directed_links
-    delta = net.wavelengths + 1
-
     vars_: list[VarRef] = []
     light: dict[tuple[str, str, int], int] = {}
     flowv: dict[tuple[str, str, int], int] = {}
@@ -182,127 +303,156 @@ def build_model(
     for lam in waves:
         wave[lam] = len(vars_)
         vars_.append(VarRef(VarKind.WAVE, None, None, lam, len(vars_), 0, 1))
+    delta = net.wavelengths + 1
+    objective = [
+        (light[(u, v, lam)], delta * net.link_cost[(u, v)]) for lam in waves for u, v in links
+    ] + [(wave[lam], 1) for lam in waves]
+    bounds = np.array([(v.lower, v.upper) for v in vars_], dtype=np.int64).T
+    bounds.setflags(write=False)
+    return Columns(
+        vars=tuple(vars_),
+        objective=tuple(objective),
+        light_index=MappingProxyType(light),
+        flow_index=MappingProxyType(flowv),
+        wave_index=MappingProxyType(wave),
+        by_name=MappingProxyType({v.name: v for v in vars_}),
+        bounds=bounds,
+    )
 
-    names: list[str] = []
-    counts: list[int] = []  # nonzeros per row
-    cols: list[int] = []
-    coefs: list[int] = []
-    rels: list[int] = []
-    rhss: list[int] = []
 
-    def add(name: str, terms: list[tuple[int, int]], rel: int, rhs: int) -> None:
-        merged: dict[int, int] = {}
-        for idx, coef in terms:
-            merged[idx] = merged.get(idx, 0) + coef
-        keys = sorted(merged)
-        names.append(name)
-        counts.append(len(keys))
-        cols.extend(keys)
-        coefs.extend(map(merged.__getitem__, keys))
-        rels.append(rel)
-        rhss.append(rhs)
+_Index = Mapping[tuple[str, str, int], int]
 
-    def l_in(m: str, lam: int) -> list[tuple[int, int]]:
-        return [(light[(n, m, lam)], 1) for n in net.neighbors[m]]
 
-    def l_out(m: str, lam: int) -> list[tuple[int, int]]:
-        return [(light[(m, n, lam)], 1) for n in net.neighbors[m]]
+def _into(net: Network, index: _Index, m: str, lam: int, coef: int = 1) -> list[tuple[int, int]]:
+    """``coef`` times each variable in ``index`` of a link into m on lam."""
+    return [(index[(n, m, lam)], coef) for n in net.neighbors[m]]
+
+
+def _out_of(net: Network, index: _Index, m: str, lam: int, coef: int = 1) -> list[tuple[int, int]]:
+    """``coef`` times each variable in ``index`` of a link out of m on lam."""
+    return [(index[(m, n, lam)], coef) for n in net.neighbors[m]]
+
+
+def _template(net: Network, mode: Mode, connectivity: bool, cols: Columns) -> tuple[_Block, _Block]:
+    """The rows every session on ``net`` shares, each tagged with the node
+    whose rule it states: those emitted before the session's flow rows, and
+    the flow-layer rows after them.  ``flow_hi``'s L coefficient is stored as
+    -1 and scaled by |D|.  Only the indices of ``cols`` are read, and those
+    do not depend on |D|."""
+    waves = range(net.wavelengths)
+    links = net.directed_links
+    light, flowv, wave = cols.light_index, cols.flow_index, cols.wave_index
+    before, after = _BlockBuilder(), _BlockBuilder()
+
+    for lam in waves:
+        for i, (m, _) in enumerate(net.nodes):
+            if net.is_mc(m):
+                before.add(f"mc_in_{m}_{lam}", _into(net, light, m, lam), LE, 1, i, _AT_SOURCE)
+                mc_out = _out_of(net, light, m, lam) + _into(net, light, m, lam, -net.degree(m))
+                before.add(f"mc_out_{m}_{lam}", mc_out, LE, 0, i, _AT_SOURCE)
+            else:
+                mi_out = _out_of(net, light, m, lam) + _into(net, light, m, lam, -1)
+                before.add(f"mi_out_{m}_{lam}", mi_out, LE, 0, i, _AT_SOURCE)
+        # Only destinations may be leaves.
+        for i, (m, _) in enumerate(net.nodes):
+            leaf = _out_of(net, light, m, lam) + _into(net, light, m, lam, -1)
+            before.add(f"leaf_{m}_{lam}", leaf, GE, 0, i, _AT_TERMINALS)
+
+    for lam in waves:
+        for u, v in links:
+            before.add(f"wave_link_{u}_{v}_{lam}", [(wave[lam], 1), (light[(u, v, lam)], -1)], GE, 0)
+        before.add(f"wave_used_{lam}", [(wave[lam], 1)] + [(light[(u, v, lam)], -1) for u, v in links], LE, 0)
+
+    if mode is Mode.LT:
+        # Trees: nobody is entered twice; MI nodes pass through or stop.
+        for lam in waves:
+            for i, (m, _) in enumerate(net.nodes):
+                before.add(f"tree_in_{m}_{lam}", _into(net, light, m, lam), LE, 1, i, _AT_SOURCE)
+                if not net.is_mc(m):
+                    before.add(f"tree_out_{m}_{lam}", _out_of(net, light, m, lam), LE, 1, i, _AT_SOURCE)
+
+    if connectivity:
+        for lam in waves:
+            for i, (m, _) in enumerate(net.nodes):
+                cons = _into(net, flowv, m, lam) + _out_of(net, flowv, m, lam, -1)
+                after.add(f"flow_cons_{m}_{lam}", cons, EQ, 0, i, _AT_TERMINALS)
+            for u, v in links:
+                f, x = flowv[(u, v, lam)], light[(u, v, lam)]
+                after.add(f"flow_lo_{u}_{v}_{lam}", [(f, 1), (x, -1)], GE, 0)
+                after.add(f"flow_hi_{u}_{v}_{lam}", [(f, 1), (x, -1)], LE, 0, scaled=x)
+
+    return before.block(), after.block()
+
+
+def build_model(
+    net: Network,
+    ms: MulticastSession,
+    mode: Mode | str = Mode.LH,
+    connectivity: bool = True,
+) -> IlpModel:
+    """Build the ILP for one session on one network: the session's own rows
+    around the network's shared template rows (see the module docstring)."""
+    mode = Mode(mode) if not isinstance(mode, Mode) else mode
+    if net.wavelengths < 1:
+        raise ValueError("need at least one wavelength")
+    s = ms.source
+    dests = ms.sorted_destinations(net)
+    ndest = len(dests)
+    waves = range(net.wavelengths)
+    table = _shared(_SHARED, net, dict)
+    cols = _shared(table, (connectivity, ndest), lambda: _columns(net, connectivity, ndest))
+    before, after = _shared(table, (mode, connectivity), lambda: _template(net, mode, connectivity, cols))
+    light, flowv = cols.light_index, cols.flow_index
+    head, middle = _BlockBuilder(), _BlockBuilder()
+
+    def every_wave(side: Callable[..., list[tuple[int, int]]], index: _Index, m: str, coef: int = 1):
+        return [t for lam in waves for t in side(net, index, m, lam, coef)]
 
     # Root: never entered, emits between 1 and |D| links over all wavelengths.
-    add("src_in", [t for lam in waves for t in l_in(s, lam)], EQ, 0)
-    out_all = [t for lam in waves for t in l_out(s, lam)]
-    add("src_out_lo", out_all, GE, 1)
-    add("src_out_hi", out_all, LE, ndest)
+    head.add("src_in", every_wave(_into, light, s), EQ, 0)
+    out_all = every_wave(_out_of, light, s)
+    head.add("src_out_lo", out_all, GE, 1)
+    head.add("src_out_hi", out_all, LE, ndest)
 
     # Each destination is spanned at least once; the upper bound (pass-through
     # visits while other destinations are served) degenerates for |D| = 1 and
     # is dropped there.
     for d in dests:
-        in_all = [t for lam in waves for t in l_in(d, lam)]
-        add(f"dest_in_lo_{d}", in_all, GE, 1)
+        in_all = every_wave(_into, light, d)
+        head.add(f"dest_in_lo_{d}", in_all, GE, 1)
         if ndest >= 2:
-            add(f"dest_in_hi_{d}", in_all, LE, ndest - 1)
-
-    for lam in waves:
-        for m, _ in net.nodes:
-            if m == s:
-                continue
-            if net.is_mc(m):
-                add(f"mc_in_{m}_{lam}", l_in(m, lam), LE, 1)
-                add(f"mc_out_{m}_{lam}", l_out(m, lam) + [(i, -net.degree(m)) for i, _ in l_in(m, lam)], LE, 0)
-            else:
-                add(f"mi_out_{m}_{lam}", l_out(m, lam) + [(i, -1) for i, _ in l_in(m, lam)], LE, 0)
-        # Only destinations may be leaves.
-        for m, _ in net.nodes:
-            if m == s or m in dset:
-                continue
-            add(f"leaf_{m}_{lam}", l_out(m, lam) + [(i, -1) for i, _ in l_in(m, lam)], GE, 0)
-
-    for lam in waves:
-        for u, v in links:
-            add(f"wave_link_{u}_{v}_{lam}", [(wave[lam], 1), (light[(u, v, lam)], -1)], GE, 0)
-        add(f"wave_used_{lam}", [(wave[lam], 1)] + [(light[(u, v, lam)], -1) for u, v in links], LE, 0)
-
-    if mode is Mode.LT:
-        # Trees: nobody is entered twice; MI nodes pass through or stop.
-        for lam in waves:
-            for m, _ in net.nodes:
-                if m == s:
-                    continue
-                add(f"tree_in_{m}_{lam}", l_in(m, lam), LE, 1)
-                if not net.is_mc(m):
-                    add(f"tree_out_{m}_{lam}", l_out(m, lam), LE, 1)
+            head.add(f"dest_in_hi_{d}", in_all, LE, ndest - 1)
 
     if connectivity:
-
-        def f_in(m: str, lam: int) -> list[tuple[int, int]]:
-            return [(flowv[(n, m, lam)], 1) for n in net.neighbors[m]]
-
-        def f_out(m: str, lam: int) -> list[tuple[int, int]]:
-            return [(flowv[(m, n, lam)], 1) for n in net.neighbors[m]]
-
-        add("flow_src", [t for lam in waves for t in f_out(s, lam)], EQ, ndest)
+        middle.add("flow_src", every_wave(_out_of, flowv, s), EQ, ndest)
         for d in dests:
-            add(
-                f"flow_dest_{d}",
-                [t for lam in waves for t in f_in(d, lam)]
-                + [(i, -1) for lam in waves for i, _ in f_out(d, lam)],
-                EQ,
-                1,
-            )
+            middle.add(f"flow_dest_{d}", every_wave(_into, flowv, d) + every_wave(_out_of, flowv, d, -1), EQ, 1)
             for lam in waves:
-                diff = f_out(d, lam) + [(i, -1) for i, _ in f_in(d, lam)]
-                add(f"flow_dest_lo_{d}_{lam}", diff, GE, -1)
-                add(f"flow_dest_hi_{d}_{lam}", diff, LE, 0)
-        for lam in waves:
-            for m, _ in net.nodes:
-                if m == s or m in dset:
-                    continue
-                add(f"flow_cons_{m}_{lam}", f_in(m, lam) + [(i, -1) for i, _ in f_out(m, lam)], EQ, 0)
-            for u, v in links:
-                add(f"flow_lo_{u}_{v}_{lam}", [(flowv[(u, v, lam)], 1), (light[(u, v, lam)], -1)], GE, 0)
-                add(f"flow_hi_{u}_{v}_{lam}", [(flowv[(u, v, lam)], 1), (light[(u, v, lam)], -ndest)], LE, 0)
+                diff = _out_of(net, flowv, d, lam) + _into(net, flowv, d, lam, -1)
+                middle.add(f"flow_dest_lo_{d}_{lam}", diff, GE, -1)
+                middle.add(f"flow_dest_hi_{d}_{lam}", diff, LE, 0)
 
-    objective = [
-        (light[(u, v, lam)], delta * net.link_cost[(u, v)]) for lam in waves for u, v in links
-    ] + [(wave[lam], 1) for lam in waves]
-
+    level = np.zeros(len(net.nodes), dtype=np.int8)
+    level[[net.index[d] for d in dests]] = 1
+    level[net.index[s]] = 2
+    names, count, rel, rhs, col, coef = zip(
+        *(block.select(level, ndest) for block in (head.block(), before, middle.block(), after))
+    )
     return IlpModel(
         net=net,
         session=ms,
         mode=mode,
         connectivity=connectivity,
-        delta=delta,
-        vars=tuple(vars_),
-        objective=tuple(objective),
+        delta=net.wavelengths + 1,
+        columns=cols,
         rows=Rows(
-            row=np.repeat(np.arange(len(names)), counts),
-            col=np.array(cols, dtype=np.intp),
-            coef=np.array(coefs, dtype=np.int64),
-            rel=np.array(rels, dtype=np.int8),
-            rhs=np.array(rhss, dtype=np.int64),
+            row=np.repeat(np.arange(sum(map(len, rel))), np.concatenate(count)),
+            col=np.concatenate(col),
+            coef=np.concatenate(coef),
+            rel=np.concatenate(rel),
+            rhs=np.concatenate(rhs),
         ),
-        row_names=tuple(names),
+        row_names=tuple(chain.from_iterable(names)),
     )
 
 

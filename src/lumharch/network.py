@@ -24,7 +24,7 @@ import enum
 import heapq
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -124,8 +124,29 @@ class Network:
             raise ValueError("wavelength count must be positive")
         return Network(nodes=nodes, edges=self.edges, wavelengths=w)
 
+    @cached_property
+    def _path_trees(self) -> dict[str, dict[str, str]]:
+        """Per source asked for so far, each reached node's predecessor on
+        its shortest-path tree; filled by :meth:`shortest_path`."""
+        return {}
+
     def shortest_path(self, src: str, dst: str) -> list[str]:
-        """Deterministic min-cost path (ties broken by canonical node index)."""
+        """Deterministic min-cost path (ties broken by canonical node index),
+        read from one Dijkstra tree per source.  Costs are positive, so a
+        node's predecessor is final once it is popped, and the full tree
+        holds the path a search stopped at ``dst`` would find."""
+        prev = self._path_trees.get(src)
+        if prev is None:
+            prev = self._path_trees.setdefault(src, self._dijkstra(src))
+        if dst != src and dst not in prev:
+            raise ValueError(f"no path from {src} to {dst}")
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        path.reverse()
+        return path
+
+    def _dijkstra(self, src: str) -> dict[str, str]:
         dist: dict[str, tuple[int, int]] = {src: (0, self.index[src])}
         prev: dict[str, str] = {}
         heap: list[tuple[int, int, str]] = [(0, self.index[src], src)]
@@ -135,21 +156,13 @@ class Network:
             if m in seen:
                 continue
             seen.add(m)
-            if m == dst:
-                break
             for n in self.neighbors[m]:
                 nd = d + self.link_cost[(m, n)]
                 if n not in dist or (nd, self.index[m]) < dist[n]:
                     dist[n] = (nd, self.index[m])
                     prev[n] = m
                     heapq.heappush(heap, (nd, self.index[n], n))
-        if dst not in seen:
-            raise ValueError(f"no path from {src} to {dst}")
-        path = [dst]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+        return prev
 
 
 @dataclass(frozen=True)
@@ -313,8 +326,19 @@ def builtin_topology(
     splitters: tuple[str, ...] | list[str] | None = None,
     wavelengths: int = 2,
 ) -> Network:
-    """Return a built-in topology, all-MI with unit costs unless overridden."""
+    """Return a built-in topology, all-MI with unit costs unless overridden.
+
+    Equal calls return one network: it is immutable, so every batch on it
+    shares the maps, shortest-path trees and model templates kept on it,
+    however often the topology is loaded."""
     key = name.lower()
+    if key not in BUILTIN_TOPOLOGIES:
+        raise ValueError(f"unknown topology {name!r} (expected one of {', '.join(BUILTIN_TOPOLOGIES)})")
+    return _builtin_topology(key, tuple(splitters) if splitters else None, wavelengths)
+
+
+@cache
+def _builtin_topology(key: str, splitters: tuple[str, ...] | None, wavelengths: int) -> Network:
     if key == "fig3":
         nodes = _FIG3_NODES
         edges = tuple((u, v, 1) for u, v in _FIG3_EDGES)
@@ -324,16 +348,14 @@ def builtin_topology(
     elif key == "nsf":
         nodes = tuple(str(i) for i in range(1, 15))
         edges = tuple((str(u), str(v), 1) for u, v in _NSF_EDGES)
-    elif key == "cost239":
+    else:  # cost239
         nodes = tuple(str(i) for i in range(1, 12))
         edges = tuple((str(u), str(v), 1) for u, v in _COST239_EDGES)
-    else:
-        raise ValueError(f"unknown topology {name!r} (expected one of {', '.join(BUILTIN_TOPOLOGIES)})")
     net = Network(
         nodes=tuple((n, NodeKind.MI) for n in nodes),
         edges=edges,
         wavelengths=wavelengths,
     )
     if splitters:
-        net = net.with_overrides(splitters=tuple(splitters))
+        net = net.with_overrides(splitters=splitters)
     return net

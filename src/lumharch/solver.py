@@ -224,15 +224,6 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
     """
     net, ms = model.net, model.session
     per_wave: list[list[tuple[str, str]]] = [[] for _ in range(net.wavelengths)]
-    paths: dict[tuple[str, str], list[tuple[str, str]] | None] = {}
-
-    def path_links(a: str, d: str) -> list[tuple[str, str]] | None:
-        if (a, d) not in paths:
-            try:
-                paths[(a, d)] = list(itertools.pairwise(net.shortest_path(a, d)))
-            except ValueError:
-                paths[(a, d)] = None
-        return paths[(a, d)]
 
     def priced(lam: int) -> list[tuple[tuple[int, bool, int, int, int], str, list[tuple[str, str]]]]:
         """The candidates on wavelength lam, each (sort key, d, new links)."""
@@ -242,11 +233,13 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
         out = []
         for d in remaining:
             for a in attach - {d}:
-                path = path_links(a, d)
-                if path is not None:
-                    new = [link for link in path if link not in used]
-                    key = (sum(net.link_cost[link] for link in new), not links, net.index[d], lam, net.index[a])
-                    out.append((key, d, new))
+                try:
+                    path = net.shortest_path(a, d)
+                except ValueError:
+                    continue
+                new = [link for link in itertools.pairwise(path) if link not in used]
+                key = (sum(net.link_cost[link] for link in new), not links, net.index[d], lam, net.index[a])
+                out.append((key, d, new))
         return out
 
     remaining = list(ms.sorted_destinations(net))

@@ -227,6 +227,16 @@ def test_splitters_replace_a_file_networks_mc_nodes(tmp_path):
         assert {n for n, kind in net.nodes if kind is NodeKind.MC} == mc, splitters
 
 
+def test_builtin_loads_share_one_network():
+    # Each batch pass loads its topology again; a builtin (with or without
+    # splitters) comes back as the same network, so its model templates stay.
+    net = _load_topology("cost239", ("3", "8"), None)
+    assert _load_topology("COST239", ("3", "8"), None) is net
+    assert {n for n, kind in net.nodes if kind is NodeKind.MC} == {"3", "8"}
+    assert _load_topology("nsf", (), None) is _load_topology("nsf", (), None)
+    assert _load_topology("nsf", (), 3).wavelengths == 3
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     star = tmp_path / "star.net"
     star.write_text(

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from lumharch import (
@@ -18,6 +23,7 @@ from lumharch import (
     make_session,
     solve,
 )
+from lumharch import model as model_module
 from lumharch import solver
 from lumharch.cli import generate_sessions
 from lumharch.hierarchy import cps_nodes, is_light_tree
@@ -135,7 +141,9 @@ def test_emit_lp_deterministic(fig3, fig3_session):
 
 # sha256 of emit_lp, recorded before the model held its rows as arrays:
 # fig3 and fig5 with and without the flow layer, and seed-1 |D|=3 sessions
-# 0-2 on NSF and on COST239 with splitters at 3 and 8.
+# 0-2 on NSF and on COST239 with splitters at 3 and 8.  The |D| = 1 models
+# (no dest_in_hi row, flow_hi scaled by 1) and NSF session 0 without the
+# flow layer were recorded before the rows came from a per-network template.
 EMIT_LP_SHA256 = {
     "fig3-LH-conn": "91e1206eb646622e7ba021ca0375520aa073e25bb3af06d7b1d840a63a3170a8",
     "fig3-LH-noconn": "1052e9c6396aead49b68d8da084d0230d83d7176235549eaf1690c7a9676084a",
@@ -157,6 +165,13 @@ EMIT_LP_SHA256 = {
     "cost239-mc38-s1-LT": "40ffe5e40f1fe4eb0b209827b74e23fdb7be110f85ad2a09f9d222c824bde876",
     "cost239-mc38-s2-LH": "a98d229b42854f1eb602cf8120d89cb47d4fc50a272c4facdbd47a1602ac8e3a",
     "cost239-mc38-s2-LT": "e0a5acd50cbde7b757a123217f6d5e153c129161bc9984d7acf3bf07d5abba94",
+    "nsf-s0-LT-noconn": "13cdca32ac0974f1cabf856905e94fd563b1a3bb8e5e7ea51b935998ab9287ea",
+    "nsf-d1-s0-LH": "d232b8a0546976940ec47069b9042612d996f709f272faec840cafa527447542",
+    "nsf-d1-s0-LT": "a9550b3b09fd2c1a3ce7bbe8150f955c68d6715f3438dbcfb2b68f152d0723e7",
+    "nsf-d1-s1-LH": "4e103767d4f22dfdfbe06128aa87922adc01b0381a910aa7cba1fb5cdbed8dc1",
+    "nsf-d1-s1-LT": "0fb0bed4dd62e0fdbcdc591f795ea738e736f9a4d5c526cc7d02051eae7eca5b",
+    "cost239-mc38-d1-s0-LH": "c6a5642cd66fb95d6b2487361b69a7efa4a5987318b3303be70801c08d399204",
+    "cost239-mc38-d1-s0-LT": "fcb2fb2f7a82531084df613ebc485db2eea1f8dcebb9333339e8770ac5201ff4",
 }
 
 
@@ -167,10 +182,16 @@ def _pinned_models():
         for mode in (Mode.LH, Mode.LT):
             for conn in (True, False):
                 yield f"{name}-{mode.value}-{'conn' if conn else 'noconn'}", build_model(net, ms, mode, conn)
-    for name, net in (("nsf", builtin_topology("nsf")), ("cost239-mc38", builtin_topology("cost239", splitters=("3", "8")))):
+    nsf, mc38 = builtin_topology("nsf"), builtin_topology("cost239", splitters=("3", "8"))
+    for name, net in (("nsf", nsf), ("cost239-mc38", mc38)):
         for i, ms in enumerate(generate_sessions(net, 3, 3, seed=1)):
             for mode in (Mode.LH, Mode.LT):
                 yield f"{name}-s{i}-{mode.value}", build_model(net, ms, mode, True)
+    yield "nsf-s0-LT-noconn", build_model(nsf, generate_sessions(nsf, 3, 1, seed=1)[0], Mode.LT, False)
+    for name, net, count in (("nsf", nsf, 2), ("cost239-mc38", mc38, 1)):
+        for i, ms in enumerate(generate_sessions(net, 1, count, seed=1)):
+            for mode in (Mode.LH, Mode.LT):
+                yield f"{name}-d1-s{i}-{mode.value}", build_model(net, ms, mode, True)
 
 
 def test_emit_lp_bytes_are_pinned():
@@ -182,6 +203,86 @@ def test_model_arrays_leave_equality_and_hashing_alone(fig3, fig3_session):
     lh, again = build_model(fig3, fig3_session, Mode.LH, True), build_model(fig3, fig3_session, Mode.LH, True)
     assert lh == again and hash(lh) == hash(again) and lh.rows is not again.rows
     assert lh != build_model(fig3, fig3_session, Mode.LT, True)
+
+
+def _snapshot(model):
+    """A model's rows, row names, variables, objective and bounds as plain values."""
+    r = model.rows
+    arrays = tuple((a.dtype.str, tuple(a.tolist())) for a in (r.row, r.col, r.coef, r.rel, r.rhs))
+    return arrays, model.row_names, model.vars, model.objective, model.bounds.tolist()
+
+
+def _cold_network(name, splitters, wavelengths):
+    """A new network equal to ``builtin_topology(name, splitters=...,
+    wavelengths=...)`` (which these tests never load, so no live network
+    equals it), so no build shares its template yet."""
+    gc.collect()
+    net = builtin_topology(name).with_overrides(splitters=splitters, wavelengths=wavelengths)
+    assert net not in model_module._SHARED
+    return net
+
+
+def test_build_order_does_not_change_a_model():
+    # Sessions in one order, then in reverse order on a fresh, equal network
+    # whose templates start cold.
+    fresh = functools.partial(_cold_network, "nsf", splitters=("5", "12"), wavelengths=3)
+    net = fresh()
+    sessions = generate_sessions(net, 3, 4, seed=2) + generate_sessions(net, 1, 3, seed=2)
+    jobs = [(ms, mode, conn) for ms in sessions for mode in (Mode.LH, Mode.LT) for conn in (True, False)]
+    first = [_snapshot(build_model(net, *job)) for job in jobs]
+    del net
+    net = fresh()
+    second = [_snapshot(build_model(net, *job)) for job in reversed(jobs)]
+    assert first == second[::-1]
+
+
+def test_models_do_not_share_writable_arrays():
+    net = builtin_topology("cost239", splitters=("3", "8"))
+    ms0, ms1 = generate_sessions(net, 3, 2, seed=1)
+    model = build_model(net, ms0, Mode.LT, True)
+    expected = [_snapshot(build_model(net, ms, Mode.LT, True)) for ms in (ms0, ms1)]
+    r = model.rows
+    for a in (r.row, r.col, r.coef, r.rel, r.rhs):
+        a += 1
+    assert [_snapshot(build_model(net, ms, Mode.LT, True)) for ms in (ms0, ms1)] == expected
+    with pytest.raises(ValueError, match="read-only"):
+        model.bounds[1, 0] = 5
+    for block in model_module._SHARED[net][(Mode.LT, True)]:
+        for a in vars(block).values():
+            if isinstance(a, np.ndarray) and len(a):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+    with pytest.raises(TypeError):
+        model.light_index[("3", "8", 0)] = 0
+
+
+def test_concurrent_builds_on_a_cold_network_match_a_sequential_build():
+    fresh = functools.partial(_cold_network, "cost239", splitters=("2", "7"), wavelengths=3)
+    net = fresh()
+    sessions = generate_sessions(net, 2, 4, seed=5)
+    jobs = [(ms, mode) for ms in sessions for mode in (Mode.LH, Mode.LT)]
+    expected = [_snapshot(build_model(net, ms, mode, True)) for ms, mode in jobs]
+    del net
+    net = fresh()
+    barrier = threading.Barrier(2)
+    results: list = [None, None]
+
+    def work(k: int) -> None:
+        order = jobs if k == 0 else jobs[::-1]
+        barrier.wait()
+        results[k] = [_snapshot(build_model(net, ms, mode, True)) for ms, mode in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == expected and results[1] == expected[::-1]
 
 
 def _row_by_row(model, a):

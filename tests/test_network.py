@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumharch import (
+    Network,
     NetworkFormatError,
     NodeKind,
     builtin_topology,
@@ -88,8 +91,16 @@ def test_nsf_and_cost239_shapes():
 
 
 def test_unknown_builtin():
-    with pytest.raises(ValueError):
-        builtin_topology("ring")
+    with pytest.raises(ValueError, match="'Ring'"):
+        builtin_topology("Ring")
+
+
+def test_equal_builtin_loads_return_one_network():
+    net = builtin_topology("cost239", splitters=["3", "8"], wavelengths=3)
+    assert builtin_topology("COST239", splitters=("3", "8"), wavelengths=3) is net
+    assert net == builtin_topology("cost239").with_overrides(splitters=("3", "8"), wavelengths=3)
+    assert builtin_topology("cost239", splitters=("3", "8")) is not net
+    assert builtin_topology("nsf") is builtin_topology("nsf", splitters=())
 
 
 def test_degree_trivial_and_unknown(fig3):
@@ -170,3 +181,25 @@ def test_shortest_path_deterministic(fig3):
     assert fig3.shortest_path("s", "3") == ["s", "1", "2", "3"]
     # ties to d1 via 4 or 5: canonical index breaks toward 4
     assert fig3.shortest_path("s", "d1") == ["s", "1", "2", "3", "4", "d1"]
+
+
+def test_shortest_paths_are_pinned():
+    # sha256 of every ordered pair's path on NSF and COST239, recorded when
+    # each path came from its own Dijkstra search stopped at the destination;
+    # one full tree per source must give the same paths.
+    h = hashlib.sha256()
+    for net in (builtin_topology("nsf"), builtin_topology("cost239")):
+        for a in net.node_ids:
+            for b in net.node_ids:
+                if a != b:
+                    h.update(f"{a}>{b}:{'-'.join(net.shortest_path(a, b))}\n".encode())
+    assert h.hexdigest() == "7559076744282eabff510ed3b43529684b9ecd7fdcbb7a61465d2da2b6d9531f"
+
+
+def test_shortest_path_to_itself_and_unreachable():
+    # Built directly: parse_network rejects a mesh that is not connected.
+    net = Network(nodes=tuple((n, NodeKind.MI) for n in "abc"), edges=(("a", "b", 1),), wavelengths=1)
+    assert net.shortest_path("a", "a") == ["a"]
+    assert net.shortest_path("b", "a") == ["b", "a"]
+    with pytest.raises(ValueError, match="no path from a to c"):
+        net.shortest_path("a", "c")
