@@ -24,39 +24,38 @@ product and a compare, which names a row only when it fails.
 :class:`Constraint` per row, for the LP text and for readers that want
 records.
 
-Most rows do not depend on the session: the per-node, per-wavelength
-rules, the wavelength links, the tree rows and the flow conservation and
-coupling rows.  Those are built once per network, mode and flow-layer
-choice as a template, each row tagged with the node whose rule it states
-and whether a session drops it at its source, or at its source and its
-destinations.  :func:`build_model` builds only the session's own rows
-(``src_*``, ``dest_*``, ``flow_src``, ``flow_dest_*``), keeps the template
-rows with one mask and concatenates the parts in emission order.  The
-variables, the objective and the maps over them (:class:`Columns`) are
-shared per network, flow-layer choice and |D|.  Both live in a table keyed
-by the network that drops an entry with the network that made it, so
-equal networks share one; they are filled on the first build, and their
-arrays and maps are read-only.  Every model's ``rows`` arrays are its own.
-A built-in topology loads as one network per argument set
-(:func:`network.builtin_topology`), so its entry lasts as long as the
-process and repeated batches on it do not rebuild their templates.
+The rows come from one template per network, mode, flow-layer choice and
+|D|: every row some session with that many destinations may keep, the
+source rows (``src_*``, ``flow_src``) and the destination rows
+(``dest_*``, ``flow_dest_*``) once per node, in emission order.  Each row
+carries the node whose rule it states and a level set, a bit mask over
+that node's three levels (other, destination, source) at which a session
+keeps the row.  :func:`build_model` computes the level of each node of the
+session and keeps the rows with one mask; it builds no row itself.  A node
+has one level, so a session whose source is also a destination is
+rejected.  The variables, the objective and the maps over them
+(:class:`Columns`) are shared per network, flow-layer choice and |D|.
+Templates and columns are held on the network
+(``Network.model_templates``), filled on the first build and read-only;
+every model's ``rows`` arrays are its own.  A built-in topology loads as
+one network per argument set (:func:`network.builtin_topology`), so
+repeated batches on it do not rebuild their templates.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import weakref
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
 
 from .hierarchy import LightStructure, LightStructureSet, ValidationReport, Violation
-from .network import MulticastSession, Network
+from .network import MulticastSession, Network, make_session
 from .simplex import EQ, GE, LE, Rows
 
 
@@ -187,95 +186,28 @@ class IlpModel:
         return sum(a.values[i] for i in self.wave_index.values())
 
 
-# A template row states a rule for one node.  A session drops it when that
-# node's level (0 other, 1 destination, 2 source) reaches the row's drop
-# level: _AT_SOURCE rows are dropped at the source, _AT_TERMINALS rows at the
-# source and the destinations, and _NEVER rows are kept.
-_AT_TERMINALS, _AT_SOURCE, _NEVER = 1, 2, 3
+# A template row states a rule for one node, and its level set says at which
+# of that node's levels (0 other, 1 destination, 2 source) a session keeps
+# it: bit k of the set stands for level k.
+_OTHER, _DEST, _SOURCE = 1, 2, 4
+_NOT_SOURCE = _OTHER | _DEST
+_ALWAYS = _OTHER | _DEST | _SOURCE
 
 
 @dataclass(frozen=True)
-class _Block:
+class _Template:
     """Rows in emission order, as read-only arrays: per row its name, nonzero
-    count, relation, right-hand side, node index and drop level; per nonzero,
-    in row order, its column, its coefficient and whether |D| scales it."""
+    count, relation, right-hand side, node index and level set; per nonzero,
+    in row order, its column and its coefficient."""
 
     names: tuple[str, ...]
     count: np.ndarray
     rel: np.ndarray
     rhs: np.ndarray
     node: np.ndarray
-    drop: np.ndarray
+    levels: np.ndarray
     col: np.ndarray
     coef: np.ndarray
-    scaled: np.ndarray
-
-    def select(self, level: np.ndarray, ndest: int) -> tuple:
-        """(names, count, rel, rhs, col, coef) of the rows a session whose
-        node levels are ``level`` keeps, with the scaled coefficients times
-        ``ndest``."""
-        keep = level[self.node] < self.drop
-        nz = np.repeat(keep, self.count)
-        coef = np.where(self.scaled, ndest * self.coef, self.coef)
-        return compress(self.names, keep), self.count[keep], self.rel[keep], self.rhs[keep], self.col[nz], coef[nz]
-
-
-class _BlockBuilder:
-    """Collects rows one by one; :meth:`add` merges a row's terms by column
-    and orders them by column."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.rows: list[tuple[int, int, int, int, int]] = []  # count, rel, rhs, node, drop
-        self.cols: list[int] = []
-        self.coefs: list[int] = []
-        self.scaled: list[int] = []  # positions of the coefficients |D| multiplies
-
-    def add(
-        self,
-        name: str,
-        terms: list[tuple[int, int]],
-        rel: int,
-        rhs: int,
-        node: int = 0,
-        drop: int = _NEVER,
-        scaled: int | None = None,
-    ) -> None:
-        """Add one row; ``scaled`` names the column whose coefficient |D| multiplies."""
-        merged: dict[int, int] = {}
-        for idx, coef in terms:
-            merged[idx] = merged.get(idx, 0) + coef
-        keys = sorted(merged)
-        if scaled is not None:
-            self.scaled.append(len(self.cols) + keys.index(scaled))
-        self.names.append(name)
-        self.rows.append((len(keys), rel, rhs, node, drop))
-        self.cols.extend(keys)
-        self.coefs.extend(map(merged.__getitem__, keys))
-
-    def block(self) -> _Block:
-        count, rel, rhs, node, drop = np.array(self.rows, dtype=np.int64).reshape(-1, 5).T
-        scaled = np.zeros(len(self.cols), dtype=bool)
-        scaled[self.scaled] = True
-        arrays = [
-            count.astype(np.intp),
-            rel.astype(np.int8),
-            rhs.copy(),
-            node.astype(np.intp),
-            drop.astype(np.int8),
-            np.array(self.cols, dtype=np.intp),
-            np.array(self.coefs, dtype=np.int64),
-            scaled,
-        ]
-        for a in arrays:
-            a.setflags(write=False)
-        return _Block(tuple(self.names), *arrays)
-
-
-# Per network, the shared Columns per (connectivity, |D|) and the template
-# pair per (mode, connectivity).  Keyed by network equality; an entry is
-# dropped with the network that made it.
-_SHARED: weakref.WeakKeyDictionary[Network, dict] = weakref.WeakKeyDictionary()
 
 
 def _shared(table, key, make: Callable[[], object]):
@@ -333,55 +265,104 @@ def _out_of(net: Network, index: _Index, m: str, lam: int, coef: int = 1) -> lis
     return [(index[(m, n, lam)], coef) for n in net.neighbors[m]]
 
 
-def _template(net: Network, mode: Mode, connectivity: bool, cols: Columns) -> tuple[_Block, _Block]:
-    """The rows every session on ``net`` shares, each tagged with the node
-    whose rule it states: those emitted before the session's flow rows, and
-    the flow-layer rows after them.  ``flow_hi``'s L coefficient is stored as
-    -1 and scaled by |D|.  Only the indices of ``cols`` are read, and those
-    do not depend on |D|."""
+def _template(net: Network, mode: Mode, connectivity: bool, ndest: int, cols: Columns) -> _Template:
+    """Every row a session with ``ndest`` destinations on ``net`` may keep,
+    each with the node whose rule it states and its level set.  A session
+    keeps the source rows of one node only, so its source rows come before
+    its destination rows whatever the node indices."""
     waves = range(net.wavelengths)
     links = net.directed_links
+    nodes = list(enumerate(net.node_ids))
     light, flowv, wave = cols.light_index, cols.flow_index, cols.wave_index
-    before, after = _BlockBuilder(), _BlockBuilder()
+    names: list[str] = []
+    rows: list[tuple[int, int, int, int, int]] = []  # count, rel, rhs, node, level set
+    col: list[int] = []
+    coef: list[int] = []
+
+    def add(name: str, terms: list[tuple[int, int]], rel: int, rhs: int, node: int = 0, levels: int = _ALWAYS):
+        terms = sorted(terms)
+        names.append(name)
+        rows.append((len(terms), rel, rhs, node, levels))
+        col.extend(c for c, _ in terms)
+        coef.extend(a for _, a in terms)
+
+    def every_wave(side: Callable[..., list[tuple[int, int]]], index: _Index, m: str, sign: int = 1):
+        return [t for lam in waves for t in side(net, index, m, lam, sign)]
+
+    # Root: never entered, emits between 1 and |D| links over all wavelengths.
+    for i, s in nodes:
+        add("src_in", every_wave(_into, light, s), EQ, 0, i, _SOURCE)
+        out_all = every_wave(_out_of, light, s)
+        add("src_out_lo", out_all, GE, 1, i, _SOURCE)
+        add("src_out_hi", out_all, LE, ndest, i, _SOURCE)
+
+    # Each destination is spanned at least once; the upper bound (pass-through
+    # visits while other destinations are served) degenerates for |D| = 1 and
+    # is dropped there.
+    for i, d in nodes:
+        in_all = every_wave(_into, light, d)
+        add(f"dest_in_lo_{d}", in_all, GE, 1, i, _DEST)
+        if ndest >= 2:
+            add(f"dest_in_hi_{d}", in_all, LE, ndest - 1, i, _DEST)
 
     for lam in waves:
-        for i, (m, _) in enumerate(net.nodes):
+        for i, m in nodes:
             if net.is_mc(m):
-                before.add(f"mc_in_{m}_{lam}", _into(net, light, m, lam), LE, 1, i, _AT_SOURCE)
+                add(f"mc_in_{m}_{lam}", _into(net, light, m, lam), LE, 1, i, _NOT_SOURCE)
                 mc_out = _out_of(net, light, m, lam) + _into(net, light, m, lam, -net.degree(m))
-                before.add(f"mc_out_{m}_{lam}", mc_out, LE, 0, i, _AT_SOURCE)
+                add(f"mc_out_{m}_{lam}", mc_out, LE, 0, i, _NOT_SOURCE)
             else:
                 mi_out = _out_of(net, light, m, lam) + _into(net, light, m, lam, -1)
-                before.add(f"mi_out_{m}_{lam}", mi_out, LE, 0, i, _AT_SOURCE)
+                add(f"mi_out_{m}_{lam}", mi_out, LE, 0, i, _NOT_SOURCE)
         # Only destinations may be leaves.
-        for i, (m, _) in enumerate(net.nodes):
+        for i, m in nodes:
             leaf = _out_of(net, light, m, lam) + _into(net, light, m, lam, -1)
-            before.add(f"leaf_{m}_{lam}", leaf, GE, 0, i, _AT_TERMINALS)
+            add(f"leaf_{m}_{lam}", leaf, GE, 0, i, _OTHER)
 
     for lam in waves:
         for u, v in links:
-            before.add(f"wave_link_{u}_{v}_{lam}", [(wave[lam], 1), (light[(u, v, lam)], -1)], GE, 0)
-        before.add(f"wave_used_{lam}", [(wave[lam], 1)] + [(light[(u, v, lam)], -1) for u, v in links], LE, 0)
+            add(f"wave_link_{u}_{v}_{lam}", [(wave[lam], 1), (light[(u, v, lam)], -1)], GE, 0)
+        add(f"wave_used_{lam}", [(wave[lam], 1)] + [(light[(u, v, lam)], -1) for u, v in links], LE, 0)
 
     if mode is Mode.LT:
         # Trees: nobody is entered twice; MI nodes pass through or stop.
         for lam in waves:
-            for i, (m, _) in enumerate(net.nodes):
-                before.add(f"tree_in_{m}_{lam}", _into(net, light, m, lam), LE, 1, i, _AT_SOURCE)
+            for i, m in nodes:
+                add(f"tree_in_{m}_{lam}", _into(net, light, m, lam), LE, 1, i, _NOT_SOURCE)
                 if not net.is_mc(m):
-                    before.add(f"tree_out_{m}_{lam}", _out_of(net, light, m, lam), LE, 1, i, _AT_SOURCE)
+                    add(f"tree_out_{m}_{lam}", _out_of(net, light, m, lam), LE, 1, i, _NOT_SOURCE)
 
     if connectivity:
+        for i, s in nodes:
+            add("flow_src", every_wave(_out_of, flowv, s), EQ, ndest, i, _SOURCE)
+        for i, d in nodes:
+            add(f"flow_dest_{d}", every_wave(_into, flowv, d) + every_wave(_out_of, flowv, d, -1), EQ, 1, i, _DEST)
+            for lam in waves:
+                diff = _out_of(net, flowv, d, lam) + _into(net, flowv, d, lam, -1)
+                add(f"flow_dest_lo_{d}_{lam}", diff, GE, -1, i, _DEST)
+                add(f"flow_dest_hi_{d}_{lam}", diff, LE, 0, i, _DEST)
         for lam in waves:
-            for i, (m, _) in enumerate(net.nodes):
+            for i, m in nodes:
                 cons = _into(net, flowv, m, lam) + _out_of(net, flowv, m, lam, -1)
-                after.add(f"flow_cons_{m}_{lam}", cons, EQ, 0, i, _AT_TERMINALS)
+                add(f"flow_cons_{m}_{lam}", cons, EQ, 0, i, _OTHER)
             for u, v in links:
                 f, x = flowv[(u, v, lam)], light[(u, v, lam)]
-                after.add(f"flow_lo_{u}_{v}_{lam}", [(f, 1), (x, -1)], GE, 0)
-                after.add(f"flow_hi_{u}_{v}_{lam}", [(f, 1), (x, -1)], LE, 0, scaled=x)
+                add(f"flow_lo_{u}_{v}_{lam}", [(f, 1), (x, -1)], GE, 0)
+                add(f"flow_hi_{u}_{v}_{lam}", [(f, 1), (x, -ndest)], LE, 0)
 
-    return before.block(), after.block()
+    count, rel, rhs, node, levels = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    arrays = [
+        count.astype(np.intp),
+        rel.astype(np.int8),
+        rhs.copy(),
+        node.astype(np.intp),
+        levels.astype(np.int8),
+        np.array(col, dtype=np.intp),
+        np.array(coef, dtype=np.int64),
+    ]
+    for a in arrays:
+        a.setflags(write=False)
+    return _Template(tuple(names), *arrays)
 
 
 def build_model(
@@ -390,54 +371,22 @@ def build_model(
     mode: Mode | str = Mode.LH,
     connectivity: bool = True,
 ) -> IlpModel:
-    """Build the ILP for one session on one network: the session's own rows
-    around the network's shared template rows (see the module docstring)."""
+    """Build the ILP for one session on one network: the rows of the
+    network's template that the session keeps (see the module docstring)."""
     mode = Mode(mode) if not isinstance(mode, Mode) else mode
     if net.wavelengths < 1:
         raise ValueError("need at least one wavelength")
-    s = ms.source
-    dests = ms.sorted_destinations(net)
-    ndest = len(dests)
-    waves = range(net.wavelengths)
-    table = _shared(_SHARED, net, dict)
+    make_session(net, ms.source, ms.destinations)  # validates the session
+    ndest = len(ms.destinations)
+    table = net.model_templates
     cols = _shared(table, (connectivity, ndest), lambda: _columns(net, connectivity, ndest))
-    before, after = _shared(table, (mode, connectivity), lambda: _template(net, mode, connectivity, cols))
-    light, flowv = cols.light_index, cols.flow_index
-    head, middle = _BlockBuilder(), _BlockBuilder()
-
-    def every_wave(side: Callable[..., list[tuple[int, int]]], index: _Index, m: str, coef: int = 1):
-        return [t for lam in waves for t in side(net, index, m, lam, coef)]
-
-    # Root: never entered, emits between 1 and |D| links over all wavelengths.
-    head.add("src_in", every_wave(_into, light, s), EQ, 0)
-    out_all = every_wave(_out_of, light, s)
-    head.add("src_out_lo", out_all, GE, 1)
-    head.add("src_out_hi", out_all, LE, ndest)
-
-    # Each destination is spanned at least once; the upper bound (pass-through
-    # visits while other destinations are served) degenerates for |D| = 1 and
-    # is dropped there.
-    for d in dests:
-        in_all = every_wave(_into, light, d)
-        head.add(f"dest_in_lo_{d}", in_all, GE, 1)
-        if ndest >= 2:
-            head.add(f"dest_in_hi_{d}", in_all, LE, ndest - 1)
-
-    if connectivity:
-        middle.add("flow_src", every_wave(_out_of, flowv, s), EQ, ndest)
-        for d in dests:
-            middle.add(f"flow_dest_{d}", every_wave(_into, flowv, d) + every_wave(_out_of, flowv, d, -1), EQ, 1)
-            for lam in waves:
-                diff = _out_of(net, flowv, d, lam) + _into(net, flowv, d, lam, -1)
-                middle.add(f"flow_dest_lo_{d}_{lam}", diff, GE, -1)
-                middle.add(f"flow_dest_hi_{d}_{lam}", diff, LE, 0)
-
+    t = _shared(table, (mode, connectivity, ndest), lambda: _template(net, mode, connectivity, ndest, cols))
     level = np.zeros(len(net.nodes), dtype=np.int8)
-    level[[net.index[d] for d in dests]] = 1
-    level[net.index[s]] = 2
-    names, count, rel, rhs, col, coef = zip(
-        *(block.select(level, ndest) for block in (head.block(), before, middle.block(), after))
-    )
+    level[[net.index[d] for d in ms.destinations]] = 1
+    level[net.index[ms.source]] = 2
+    keep = ((t.levels >> level[t.node]) & 1).astype(bool)
+    nz = np.repeat(keep, t.count)
+    count = t.count[keep]
     return IlpModel(
         net=net,
         session=ms,
@@ -446,13 +395,13 @@ def build_model(
         delta=net.wavelengths + 1,
         columns=cols,
         rows=Rows(
-            row=np.repeat(np.arange(sum(map(len, rel))), np.concatenate(count)),
-            col=np.concatenate(col),
-            coef=np.concatenate(coef),
-            rel=np.concatenate(rel),
-            rhs=np.concatenate(rhs),
+            row=np.repeat(np.arange(len(count)), count),
+            col=t.col[nz],
+            coef=t.coef[nz],
+            rel=t.rel[keep],
+            rhs=t.rhs[keep],
         ),
-        row_names=tuple(chain.from_iterable(names)),
+        row_names=tuple(compress(t.names, keep.tolist())),
     )
 
 

@@ -130,6 +130,12 @@ class Network:
         its shortest-path tree; filled by :meth:`shortest_path`."""
         return {}
 
+    @cached_property
+    def model_templates(self) -> dict:
+        """The variables and row templates that every model on this network
+        shares; filled by :func:`lumharch.model.build_model`."""
+        return {}
+
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Deterministic min-cost path (ties broken by canonical node index),
         read from one Dijkstra tree per source.  Costs are positive, so a

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import random
 import sys
@@ -23,11 +22,11 @@ from lumharch import (
     make_session,
     solve,
 )
-from lumharch import model as model_module
 from lumharch import solver
 from lumharch.cli import generate_sessions
 from lumharch.hierarchy import cps_nodes, is_light_tree
 from lumharch.model import Relation
+from lumharch.network import MulticastSession
 
 
 def _kind_counts(model):
@@ -76,6 +75,15 @@ def test_multicast_keeps_dest_upper_bound(fig3, fig3_session):
     assert "dest_in_hi_d1" in names and "dest_in_hi_d2" in names
     hi = next(c for c in model.constraints if c.name == "dest_in_hi_d1")
     assert hi.relation is Relation.LE and hi.rhs == 1
+
+
+def test_source_among_destinations_is_rejected(fig3):
+    # A node is the source, a destination or neither; a session that makes
+    # its source a destination too has no model.
+    ms = MulticastSession("s", frozenset({"s", "d1"}))
+    for mode in (Mode.LH, Mode.LT):
+        with pytest.raises(ValueError, match="^source must not be a destination$"):
+            build_model(fig3, ms, mode, True)
 
 
 def test_lt_mode_adds_tree_rows(fig3, fig3_session):
@@ -214,11 +222,9 @@ def _snapshot(model):
 
 def _cold_network(name, splitters, wavelengths):
     """A new network equal to ``builtin_topology(name, splitters=...,
-    wavelengths=...)`` (which these tests never load, so no live network
-    equals it), so no build shares its template yet."""
-    gc.collect()
+    wavelengths=...)``, whose table of templates no build has filled yet."""
     net = builtin_topology(name).with_overrides(splitters=splitters, wavelengths=wavelengths)
-    assert net not in model_module._SHARED
+    assert not net.model_templates
     return net
 
 
@@ -228,6 +234,7 @@ def test_build_order_does_not_change_a_model():
     fresh = functools.partial(_cold_network, "nsf", splitters=("5", "12"), wavelengths=3)
     net = fresh()
     sessions = generate_sessions(net, 3, 4, seed=2) + generate_sessions(net, 1, 3, seed=2)
+    sessions += generate_sessions(net, 2, 3, seed=2)
     jobs = [(ms, mode, conn) for ms in sessions for mode in (Mode.LH, Mode.LT) for conn in (True, False)]
     first = [_snapshot(build_model(net, *job)) for job in jobs]
     del net
@@ -247,11 +254,10 @@ def test_models_do_not_share_writable_arrays():
     assert [_snapshot(build_model(net, ms, Mode.LT, True)) for ms in (ms0, ms1)] == expected
     with pytest.raises(ValueError, match="read-only"):
         model.bounds[1, 0] = 5
-    for block in model_module._SHARED[net][(Mode.LT, True)]:
-        for a in vars(block).values():
-            if isinstance(a, np.ndarray) and len(a):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = a[0]
+    for a in vars(net.model_templates[(Mode.LT, True, 3)]).values():
+        if isinstance(a, np.ndarray) and len(a):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
     with pytest.raises(TypeError):
         model.light_index[("3", "8", 0)] = 0
 
