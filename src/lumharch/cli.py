@@ -228,17 +228,6 @@ def _model(args: argparse.Namespace) -> IlpModel:
     return build_model(net, ms, mode=Mode(args.mode.upper()), connectivity=not args.no_connectivity)
 
 
-def _dump_text(lss: hierarchy.LightStructureSet, net: Network) -> str:
-    """The structure dump, or, when a structure has no rooted port pairing
-    (without the flow layer an optimum may hold a detached cycle), each
-    structure's links and one line saying why no dump exists."""
-    try:
-        return hierarchy.format_dump(lss, net)
-    except ValueError as exc:
-        lines = [f"λ{ls.wavelength} links: {' '.join(f'{u}->{v}' for u, v in ls.links)}" for ls in lss.structures]
-        return "\n".join(lines + [f"no port-pairing dump: {exc}"]) + "\n"
-
-
 def _print_report(net: Network, report: SolveReport, out) -> None:
     print(f"status: {report.status.value}", file=out)
     if report.objective is not None:
@@ -249,7 +238,7 @@ def _print_report(net: Network, report: SolveReport, out) -> None:
     print(f"lp iterations: {report.lp_iterations}", file=out)
     lss = report.structures
     if lss is not None:
-        print(_dump_text(lss, net), end="", file=out)
+        print(hierarchy.format_dump(lss, net), end="", file=out)
         cps = sorted({m for ls in lss.structures for m in hierarchy.cps_nodes(ls, net)})
         if cps:
             print(f"cps nodes: {','.join(cps)}", file=out)
@@ -260,7 +249,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = solve(model, SolveOptions(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms))
     _print_report(model.net, report, sys.stdout)
     if args.dump and report.structures is not None:
-        Path(args.dump).write_text(_dump_text(report.structures, model.net), encoding="utf-8")
+        Path(args.dump).write_text(hierarchy.format_dump(report.structures, model.net), encoding="utf-8")
     if report.status is SolveStatus.INFEASIBLE:
         return 3
     if report.status is SolveStatus.LIMIT_REACHED:
@@ -363,7 +352,7 @@ def _cmd_import_sol(args: argparse.Namespace) -> int:
     print(f"objective: {model.objective_value(assignment)}")
     print(f"total cost: {model.cost_value(assignment)}")
     print(f"wavelengths: {model.wavelengths_value(assignment)}")
-    print(_dump_text(extract_structures(model, assignment), model.net), end="")
+    print(hierarchy.format_dump(extract_structures(model, assignment), model.net), end="")
     return 0
 
 

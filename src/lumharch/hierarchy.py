@@ -369,7 +369,17 @@ def _feed_assignment(ls: LightStructure, net: Network) -> dict[Link | None, list
 
 
 def serialize(ls: LightStructure, net: Network) -> str:
-    """Deterministic nested enumeration; children in canonical index order."""
+    """Deterministic nested enumeration; children in canonical index order.
+
+    A structure with links its root does not reach (a detached cycle, which
+    only a model without the flow layer admits) has no rooted port pairing.
+    It is written as comma-separated components, as :func:`parse_structure`
+    reads them: the root's first, then one per detached group, headed by the
+    tail of its first link in canonical order, each link once under a node
+    it leaves.  Raises ``ValueError`` when a structure whose links are all
+    reachable has no port pairing."""
+    if len(_reachable_links(ls.root, set(ls.links))) < len(set(ls.links)):
+        return _components(ls, net)
     feeds = _feed_assignment(ls, net)
 
     def render(link: Link) -> str:
@@ -385,6 +395,25 @@ def serialize(ls: LightStructure, net: Network) -> str:
         return f"({ls.root})"
     inner = ",".join(f"l_{k[0]}{k[1]},{render(k)}" for k in roots)
     return f"({ls.root}({inner}))"
+
+
+def _components(ls: LightStructure, net: Network) -> str:
+    """The components form of :func:`serialize`, with no port pairing."""
+    order = sorted(set(ls.links), key=lambda l: (net.index[l[1]], net.index[l[0]]))
+    left = dict.fromkeys(order)
+
+    def render(m: str) -> str:
+        kids = [l for l in left if l[0] == m]
+        for k in kids:
+            del left[k]
+        if not kids:
+            return m
+        return f"{m}({','.join(f'l_{u}{v},{render(v)}' for u, v in kids)})"
+
+    parts = [render(ls.root)]
+    while left:
+        parts.append(render(next(iter(left))[0]))
+    return ",".join(f"({part})" for part in parts)
 
 
 _TOKEN_RE = re.compile(r"\s*([(),]|[A-Za-z0-9_]+)")
@@ -407,8 +436,8 @@ def parse_structure(text: str, wavelength: int = 0) -> LightStructure:
 
     Several parenthesized components may appear, comma separated; the
     first component's head is the structure root and later components
-    carry detached link groups (only ever produced by hand or by broken
-    solvers, and flagged by the validator).
+    carry detached link groups (written for a model without the flow
+    layer, and flagged by the validator).
     """
     tokens = _tokenize(text)
     pos = 0

@@ -19,14 +19,17 @@ re-optimizes from it, where ``bounds`` patches the form's bounds column by
 column, ``{column: (lower, upper)}``.
 
 Rows can be appended to a solved LP (``solve_lp(..., separate=...)``,
-which the solver uses for its root cuts).  :func:`append_rows` puts them
+which the solver uses for its lazy rows).  :func:`append_rows` puts them
 below the old rows and their slacks after the last column, so every old
 row and column keeps its index.  The last optimal basis extends with the
 new slacks, basic in their own rows.  Their duals are zero, so every reduced
 cost is unchanged and the extended basis is dual feasible; a violated row
 makes its slack primal infeasible, which is the start the warm dual
 simplex takes.  The new rows are basic-slack rows, so the inverted block
-of basic structural columns does not grow.
+of basic structural columns does not grow.  A warm start may come from
+an earlier form of the same LP with fewer rows, and is extended the same
+way; the solver's lazy rows are global, so a child's parent may have been
+solved before the latest of them were appended.
 
 The leaving row maximizes ``infeas_i**2 / w_i`` over the primal
 infeasibilities beyond 1e-9.  On the cold start ``w_i`` is the exact dual
@@ -43,7 +46,7 @@ The form stores only the structural block of ``[A | S]``: slack i is the
 signed unit column ``sign_i e_i``, so every product with ``[A | S]`` takes
 its slack part from the sign vector.  For the same reason only the k x k
 block of basic structural columns over the rows whose slack is nonbasic
-is inverted (k = 53-104 against m = 345-427 rows on the children of the
+is inverted (k = 15-35 against m = 142-203 rows on the warm starts of the
 benchmark's deep NSF and COST239 solves; k = 0 at the slack basis).
 ``B^-1`` is applied in block form through that inverse, and each pivot
 appends one eta vector (product form).  Every 32 etas the basis is
@@ -206,14 +209,15 @@ def solve_lp(
 ) -> LpSolution:
     """Optimize with the form's bounds patched by ``bounds``, a map from a
     column to its ``(lower, upper)``; ``warm`` is a basis that is optimal
-    for the same form under bounds the patch only tightens.
+    under bounds the patch only tightens, for this form or for an earlier
+    form of it with fewer rows (see :func:`append_rows`).
 
     ``separate``, when given, is called with each optimal solution and
     returns rows to add (none ends the rounds).  The rows are appended with
-    :func:`append_rows`, and the LP is re-optimized from the last basis
-    extended by their slacks.  The returned ``form`` is the form of the last
-    round, and ``iterations`` counts the pivots of every round.  Raises
-    :class:`SimplexError` when a cold start breaks down."""
+    :func:`append_rows`, and the LP is re-optimized from the last basis.
+    The returned ``form`` is the form of the last round, and ``iterations``
+    counts the pivots of every round.  Raises :class:`SimplexError` when a
+    cold start breaks down."""
     lo, up = form.lower.copy(), form.upper.copy()
     for j, (low, high) in (bounds or {}).items():
         lo[j], up[j] = low, high
@@ -224,27 +228,34 @@ def solve_lp(
         rows = separate(sol)
         if not rows:
             break
-        total, k = len(form.c), len(rows)
+        total = len(form.c)
         form = append_rows(form, rows)
         lo = np.concatenate((lo, form.lower[total:]))
         up = np.concatenate((up, form.upper[total:]))
-        start = Basis(
-            columns=np.concatenate((sol.basis.columns, np.arange(total, total + k))),
-            at_upper=np.concatenate((sol.basis.at_upper, np.zeros(k, dtype=bool))),
-        )
         pivots = sol.iterations
-        sol = _solve(form, lo, up, start)
+        sol = _solve(form, lo, up, sol.basis)
         sol.iterations += pivots
     sol.form = form
     return sol
 
 
+def _extended(basis: Basis, form: StandardForm) -> Basis:
+    """``basis``, of ``form`` or of an earlier form of it with fewer rows,
+    extended by the later rows' slacks, each basic in its own row."""
+    total, k = len(basis.at_upper), len(form.c) - len(basis.at_upper)
+    return Basis(
+        columns=np.concatenate((basis.columns, np.arange(total, total + k))),
+        at_upper=np.concatenate((basis.at_upper, np.zeros(k, dtype=bool))),
+    )
+
+
 def _solve(form: StandardForm, lo: np.ndarray, up: np.ndarray, warm: Basis | None) -> LpSolution:
-    """The warm attempt from ``warm``, if any, then the cold start."""
+    """The warm attempt from ``warm`` (see :func:`_extended`), if any, then
+    the cold start."""
     pivots = 0
     if warm is not None:
         try:
-            return _run(form, lo, up, warm, cold=False)
+            return _run(form, lo, up, _extended(warm, form), cold=False)
         except SimplexError as err:
             pivots = err.pivots
     m, n = form.a.shape

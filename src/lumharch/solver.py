@@ -2,49 +2,68 @@
 
 Best-first search on the LP relaxation bound (FIFO tie-break, the
 fix-to-one child first), branching only on fractional link and wavelength
-indicators: once those are integral the remaining flow variables form a
-pure network-flow system with integral extreme points, so an integral
-flow is recovered directly instead of being branched on.  Objective
-values at integral points are computed in exact integer arithmetic.
+indicators: once those are integral the flow variables form a pure
+network-flow system with integral extreme points, so an integral flow is
+recovered directly (:func:`integralize_flows`) instead of being branched
+on, or even carried in the LP (below).  Objective values at integral
+points are computed in exact integer arithmetic.
 Each child's LP is warm-started from its parent's optimal basis, which
 is all an open node stores besides its bound patch ``{column: (lower,
 upper)}``; ``solve_lp`` applies the patch to its copy of the form's
 bounds.
 
-Cut-and-branch: the root LP is tightened by rounds of directed cuts
-(Wong 1984; Koch & Martin 1998) before branching, and the whole tree
-then solves the tightened form; children are not separated again.  Per
-destination d, :func:`flow.max_flow` on the per-wavelength layered graph
-(one copy of the mesh per wavelength, arc capacities ``x(L_uv_lam)``, a
-super-source on every ``(s, lam)`` and a sink on every ``(d, lam)``)
-finds a minimum cut, and one below 1 becomes the row ``sum of L over the
-cut >= 1``.  The
-cuts are valid whenever the commodity-flow layer is on: on each
+Branch-and-cut on the flow-free LP.  Every LP is the relaxation of the
+model without its flow layer, the rows ``build_model(..., connectivity=
+False)`` emits over the model's L and w columns (in the model's order),
+so there are no flow columns to branch on.  With the flow layer on,
+connectivity is then enforced lazily, inside each node's one
+``solve_lp`` call, at every node and whatever |D|.  First come rounds of
+directed cuts (Wong 1984; Koch & Martin 1998): per destination d,
+:func:`flow.max_flow` on the per-wavelength layered graph (one copy of
+the mesh per wavelength, arc capacities ``x(L_uv_lam)``, a super-source
+on every ``(s, lam)`` and a sink on every ``(d, lam)``) finds a minimum
+cut, and one below 1 becomes the row ``sum of L over the cut >= 1``.
+Every integral point of the full model meets every such cut: on each
 wavelength only the source has a net outflow, so a destination absorbs
 its unit along an ``s -> d`` path of positive flow, hence of used links,
-in one wavelength, and that path crosses every such cut.  This holds for
+in one wavelength, and that path crosses the cut.  This holds for
 light-hierarchies and light-trees alike, Cross Pair Switching revisits
 included.  Without the flow layer a detached cycle may serve a
-destination, so no cut is separated.  With |D| = 1 the flow link
-``F <= L`` already implies every cut, so none is separated either.  The
-rounds stop when no cut is violated, when the root bound reaches the
-incumbent, or at the deadline (which makes the solve ``LimitReached``).
-They run inside the root node's one ``solve_lp`` call, so every LP is
-still one node and every pivot is counted in ``lp_iterations``.
+destination, so no cut is separated.
+
+An integral point that meets every cut can still fail the full model, for
+example with a destination served as a leaf on two wavelengths.  So at an
+integral point without a violated cut the callback runs :func:`_checked`
+against the full model.  When :func:`integralize_flows` finds no integral
+flow, the point gets a no-good row over the L and w columns,
+``sum_{x_j = 1} x_j - sum_{x_j = 0} x_j <= |ones| - 1``.  That row is
+exact: with L and w fixed the flow system is totally unimodular, so no
+point of the full model has that L/w pattern, and the row cuts off no
+other 0/1 point.  The rejected integral point rule: a point that fails
+the flow-free rows themselves, or :func:`check_feasible` after its flows
+are integralized, can only fail through numerics, so the solve ends
+``LimitReached`` and the point never becomes the incumbent.  Cuts and
+no-good rows alike are global: they are appended to the one shared form,
+and a child's warm basis from an earlier, shorter form is extended by
+the later rows' slacks (see :mod:`simplex`).  Separation at a node stops
+when no row is violated, when its bound reaches the incumbent, or at the
+deadline (which makes the solve ``LimitReached``).  It runs inside the
+node's one ``solve_lp`` call, so every LP is still one node and every
+pivot is counted in ``lp_iterations``; ``verbosity`` 1 and up prints the
+no-good count.
 
 The search starts from a greedy seed, :func:`_greedy_incumbent`, a
 structure-attaching placement: each destination joins a wavelength's
 structure at the node already in it that is cheapest to reach it from,
 so the seed branches and crosses MI nodes as light-hierarchies do.  Its
-objective is the first pruning bound, so a tight seed both ends the
-root's cut rounds sooner and leaves fewer children to solve.
+objective is the first pruning bound, so a tight seed both ends each
+node's separation rounds sooner and leaves fewer children to solve.
 
 Every candidate incumbent, the greedy seed, an LH optimum handed over
 as a relaxation (below) and each integral LP point alike, passes one
 gate, :func:`_checked`: its flows are integralized and the whole
 assignment is checked against the model.  A seed that fails is no seed;
-an LP point that fails can only fail through numerics, so the
-solve ends ``LimitReached`` and the point never becomes the incumbent.
+an LP point that fails gets a no-good row or ends the solve, as above.
 Every returned assignment has therefore passed :func:`check_feasible`.
 
 A solve may be handed the solved LH model of the same session
@@ -78,7 +97,7 @@ from . import hierarchy
 from .flow import max_flow, service_flow
 from .model import Assignment, IlpModel, Mode, VarKind, build_model, check_feasible, extract_structures
 from .network import MulticastSession, Network
-from .simplex import FEAS_TOL, GE, Basis, LpSolution, Rows, SimplexError, StandardForm, build_standard_form, solve_lp
+from .simplex import FEAS_TOL, GE, LE, Basis, LpSolution, Rows, SimplexError, StandardForm, build_standard_form, solve_lp
 
 INT_TOL = 1e-6
 
@@ -131,9 +150,12 @@ def _standard_form(model: IlpModel) -> StandardForm:
 
 
 def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], Rows]:
-    """A function from the structural values ``x`` of an LP solution to the
+    """A function from the structural values ``x`` of an LP solution of
+    ``model``, the flow-free model the solver's LP is built from, to the
     violated directed cuts, one row ``sum L >= 1`` per destination whose
-    minimum cut is below 1 (identical cuts once); see the module docstring.
+    minimum cut is below 1 (identical cuts once).  The cuts hold at every
+    integral point of the same session's model with the flow layer; see
+    the module docstring.
 
     Node ``lam * N + i`` of the layered graph is node i on wavelength lam,
     followed by the super-source and the super-sink."""
@@ -176,8 +198,8 @@ def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:
 
     The link/wavelength pattern in ``a`` must already be integral.  Raises
     :class:`FlowIntegralizationError` when the pattern admits no integral
-    flow.  :func:`solve` drops a greedy seed so rejected, and ends as
-    ``LimitReached`` on a rejected integral LP point (see :func:`_checked`).
+    flow.  :func:`solve` drops a greedy seed so rejected, and cuts off an
+    integral LP point so rejected with a no-good row.
     """
     if not model.connectivity:
         return a
@@ -195,12 +217,31 @@ def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:
 
 def _checked(model: IlpModel, values: list[int]) -> Assignment | None:
     """The candidate incumbent with its flows integralized, or None when
-    :func:`integralize_flows` or :func:`check_feasible` rejects it."""
-    try:
-        a = integralize_flows(model, Assignment(values=tuple(values)))
-    except FlowIntegralizationError:
-        return None
+    :func:`check_feasible` rejects it.  Raises
+    :class:`FlowIntegralizationError` when :func:`integralize_flows` does."""
+    a = integralize_flows(model, Assignment(values=tuple(values)))
     return a if check_feasible(model, a).ok else None
+
+
+def _nogood(point: np.ndarray) -> Rows:
+    """The row ``sum_{x_j = 1} x_j - sum_{x_j = 0} x_j <= |ones| - 1``,
+    which cuts off the 0/1 ``point`` and no other 0/1 point."""
+    n = len(point)
+    return Rows(
+        row=np.zeros(n, dtype=np.intp),
+        col=np.arange(n),
+        coef=np.where(point == 1, 1.0, -1.0),
+        rel=np.array([LE], dtype=np.int8),
+        rhs=np.array([point.sum() - 1.0]),
+    )
+
+
+def _most_fractional(x: np.ndarray) -> int | None:
+    """The index of the most fractional entry of ``x`` (the lowest on ties),
+    or None when ``x`` is integral."""
+    score = np.minimum(x - np.floor(x + INT_TOL), np.ceil(x - INT_TOL) - x)
+    k = int(np.argmax(score))
+    return k if score[k] > INT_TOL else None
 
 
 def _greedy_incumbent(model: IlpModel) -> Assignment | None:
@@ -270,7 +311,10 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
             values[model.wave_index[lam]] = 1
             for u, v in links:
                 values[model.light_index[(u, v, lam)]] = 1
-    return _checked(model, values)
+    try:
+        return _checked(model, values)
+    except FlowIntegralizationError:
+        return None
 
 
 def _relaxation_start(model: IlpModel, relaxation: tuple[IlpModel, SolveReport]) -> tuple[float, Assignment | None]:
@@ -292,7 +336,10 @@ def _relaxation_start(model: IlpModel, relaxation: tuple[IlpModel, SolveReport])
         raise ValueError("relaxation must be the LH model of the same network, session and connectivity")
     if lh_report.status is not SolveStatus.OPTIMAL:
         return -math.inf, None
-    return lh_report.objective, _checked(model, list(lh_report.assignment.values))
+    try:
+        return lh_report.objective, _checked(model, list(lh_report.assignment.values))
+    except FlowIntegralizationError:
+        return lh_report.objective, None
 
 
 def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
@@ -303,18 +350,18 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         floor, optimum = _relaxation_start(model, opts.relaxation)
         if optimum is not None:
             return _report(model, SolveStatus.OPTIMAL, optimum, 0, 0)
-    # Directed cuts are valid only with the flow layer, and with one
-    # destination F <= L already implies them.
-    separates = model.connectivity and len(model.session.destinations) >= 2
-    cuts = _dicut_separator(model) if separates else None
-    form = _standard_form(model)
-    branchable = [v.index for v in model.vars if v.kind in (VarKind.LIGHT, VarKind.WAVE)]
+    # The LP's column j is the model's column columns[j]: its L and w columns.
+    flow_free = build_model(model.net, model.session, model.mode, False) if model.connectivity else model
+    columns = np.array([v.index for v in model.vars if v.kind is not VarKind.FLOW])
+    cuts = _dicut_separator(flow_free) if model.connectivity else None
+    form = _standard_form(flow_free)
 
     incumbent = _greedy_incumbent(model)
     incumbent_obj = None if incumbent is None else model.objective_value(incumbent)
 
     nodes_explored = 0
     lp_iterations = 0
+    nogoods = 0
     numerical_trouble = False
     deadline = None
     if opts.time_limit_ms is not None:
@@ -327,6 +374,7 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         (-math.inf, next(counter), {}, None)
     ]
     stopped_early = False
+    accepted: Assignment | None = None  # the node's integral point, checked
 
     def pruned(bound: float) -> bool:
         """Whether no integral point of LP bound ``bound`` (or of the floor)
@@ -337,14 +385,30 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         )
 
     def separate(sol: LpSolution) -> Rows:
-        """The next round of root cuts, or none when a stop rule holds."""
-        nonlocal stopped_early
+        """The node's next lazy rows: violated directed cuts, else a no-good
+        row for an integral point the full model rejects; none when a stop
+        rule holds or the point is fractional or accepted."""
+        nonlocal stopped_early, numerical_trouble, nogoods, accepted
         if pruned(sol.value):
             return []
         if deadline is not None and time.monotonic() > deadline:
             stopped_early = True
             return []
-        return cuts(sol.x)
+        rows = cuts(sol.x) if cuts else []
+        if rows or _most_fractional(sol.x) is not None:
+            return rows
+        point = np.rint(sol.x).astype(int)
+        values = np.zeros(len(model.vars), dtype=int)
+        values[columns] = point
+        try:
+            accepted = _checked(model, values.tolist())
+        except FlowIntegralizationError:
+            if check_feasible(flow_free, Assignment(values=tuple(point.tolist()))).ok:
+                nogoods += 1
+                return _nogood(point)
+            accepted = None
+        numerical_trouble |= accepted is None
+        return []
 
     while heap:
         bound, _, patch, warm = heapq.heappop(heap)
@@ -358,8 +422,9 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             break
 
         nodes_explored += 1
+        accepted = None
         try:
-            sol = solve_lp(form, patch, warm=warm, separate=separate if cuts and nodes_explored == 1 else None)
+            sol = solve_lp(form, patch, warm=warm, separate=separate)
         except SimplexError:
             numerical_trouble = True
             continue
@@ -374,24 +439,22 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         if sol.status == "infeasible" or pruned(sol.value):
             continue
 
-        # The most fractional indicator; argmax takes the lowest index on ties.
-        x = sol.x[branchable]
-        score = np.minimum(x - np.floor(x + INT_TOL), np.ceil(x - INT_TOL) - x)
-        k = int(np.argmax(score))
-        if score[k] <= INT_TOL:
-            candidate = _checked(model, np.rint(sol.x).astype(int).tolist())
-            if candidate is None:
-                numerical_trouble = True
-                continue
-            obj = model.objective_value(candidate)
-            if incumbent_obj is None or obj < incumbent_obj:
-                incumbent = candidate
-                incumbent_obj = obj
+        k = _most_fractional(sol.x)
+        if k is None:
+            # Checked by separate(): accepted, or numerical trouble, or the
+            # deadline passed before the check.
+            if accepted is not None:
+                obj = model.objective_value(accepted)
+                if incumbent_obj is None or obj < incumbent_obj:
+                    incumbent = accepted
+                    incumbent_obj = obj
             continue
 
         for fixed in (1.0, 0.0):
-            heapq.heappush(heap, (sol.value, next(counter), {**patch, branchable[k]: (fixed, fixed)}, sol.basis))
+            heapq.heappush(heap, (sol.value, next(counter), {**patch, k: (fixed, fixed)}, sol.basis))
 
+    if opts.verbosity >= 1:
+        print(f"no-good rows: {nogoods}", file=sys.stderr)
     if stopped_early or numerical_trouble:
         status = SolveStatus.LIMIT_REACHED
     elif incumbent is None:

@@ -14,6 +14,7 @@ from lumharch.cli import (
     main,
     run_experiment,
 )
+from lumharch.hierarchy import parse_dump
 from lumharch.model import Mode
 from lumharch.network import NodeKind
 
@@ -194,27 +195,35 @@ def test_solve_writes_dump(tmp_path, capsys):
 )
 def test_no_connectivity_optimum_without_a_port_pairing(tmp_path, capsys, topology, dests, mode):
     # Without the flow layer these optima hold a detached cycle, which has no
-    # rooted port pairing: solve, --dump and import-sol print its links per
-    # wavelength and say why there is no dump, and exit 0.
+    # rooted port pairing: solve, --dump and import-sol write it as extra
+    # components after the rooted one and exit 0.  The dump round-trips
+    # through parse_dump, and validate reports the detached cycle (exit 2),
+    # not a parse error.
     session = ("--topology", topology, "--source", "s", "--dest", dests, "--mode", mode, "--no-connectivity")
     dump = tmp_path / "structures.txt"
     assert run_cli("solve", *session, "--dump", str(dump)) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert "status: Optimal" in out
-    assert "λ0 links: " in out and "no port-pairing dump: cannot serialize" in out
-    assert dump.read_text(encoding="utf-8") in out
+    text = dump.read_text(encoding="utf-8")
+    assert text in out and text.startswith("λ0: (s(") and "),(" in text
 
     net = builtin_topology(topology)
     model = build_model(net, make_session(net, "s", dests.split(",")), Mode(mode.upper()), False)
     rep = solve(model)
+    assert parse_dump(text, model.session) == rep.structures
+    checked = ("--topology", topology, "--source", "s", "--dest", dests)
+    assert run_cli("validate", *checked, str(dump)) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and "[connectivity]" in out and "not reachable from source s" in out
+
     sol = tmp_path / "model.sol"
     sol.write_text("\n".join(f"{v.name} {rep.assignment.values[v.index]}" for v in model.vars), encoding="utf-8")
     assert run_cli("import-sol", *session, "--solution", str(sol)) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert f"objective: {rep.objective}" in out
-    assert "no port-pairing dump: cannot serialize" in out
+    assert text in out
 
 
 def test_splitters_replace_a_file_networks_mc_nodes(tmp_path):

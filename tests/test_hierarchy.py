@@ -252,12 +252,21 @@ def test_serializer_backtracks_when_greedy_pairing_floats(fig3):
     assert parse_structure(text, 0) == ls
 
 
-def test_serialize_rejects_unrooted_structures(fig5):
+def test_serialize_writes_detached_groups_as_components(fig5):
+    # A detached cycle has no rooted port pairing: it follows the rooted
+    # component, headed by the tail of its first link in canonical order.
     floating = LightStructure(
         wavelength=0, root="s", links=(("s", "d1"), ("d2", "d3"), ("d3", "d2"))
     )
-    with pytest.raises(ValueError, match="cannot serialize"):
-        serialize(floating, fig5)
+    text = serialize(floating, fig5)
+    assert text == "(s(l_sd1,d1)),(d3(l_d3d2,d2(l_d2d3,d3)))"
+    assert parse_structure(text, 0) == floating
+    unrooted = LightStructure(wavelength=0, root="s", links=(("d2", "d3"), ("d3", "d2")))
+    assert serialize(unrooted, fig5) == "(s),(d3(l_d3d2,d2(l_d2d3,d3)))"
+    assert parse_structure(serialize(unrooted, fig5), 0) == unrooted
+
+
+def test_serialize_rejects_rooted_structures_without_a_port_pairing(fig5):
     splitter = LightStructure(
         wavelength=0, root="s", links=(("s", "d1"), ("d1", "d2"), ("d2", "d1"), ("d2", "d3"))
     )

@@ -292,6 +292,36 @@ def test_appended_rows_match_the_full_lp(monkeypatch):
     assert rounds >= 100 and len(attempts) >= rounds
 
 
+def test_warm_basis_of_a_shorter_form_is_extended(monkeypatch):
+    # A basis optimal before append_rows warm-starts the appended form:
+    # solve_lp extends it by the new rows' slacks, basic in their own rows,
+    # and reaches the cold start's optimal value without a cold fallback.
+    attempts = _record_warm_attempts(monkeypatch)
+    rng = np.random.default_rng(4242)
+    warm_solves = warm_pivots = 0
+    for _ in range(300):
+        lp = _random_lp(rng)
+        _, c, lower, upper, rows, *_ = lp
+        if len(rows) < 2:
+            continue
+        head, tail = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+        parent = solve_lp(build_standard_form(c, _rows(head), lower, upper))
+        if parent.status != "optimal":
+            continue
+        form = simplex.append_rows(parent.form, _rows(tail))
+        cold = solve_lp(form)
+        if cold.status != "optimal":
+            continue
+        tried = len(attempts)
+        warm = solve_lp(form, warm=parent.basis)
+        assert [sol is not None for sol, _ in attempts[tried:]] == [True]
+        assert warm.status == "optimal" and abs(warm.value - cold.value) <= 1e-9
+        assert len(warm.basis.columns) == len(rows)
+        warm_solves += 1
+        warm_pivots += warm.iterations
+    assert warm_solves >= 80 and warm_pivots >= warm_solves
+
+
 def test_form_products_match_the_dense_matrix():
     # Every product the simplex takes of [A | S], on forms with <=, >= and =
     # rows, some of them appended, equals the same product on the explicit

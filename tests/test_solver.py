@@ -132,13 +132,14 @@ def test_determinism_including_counters(fig3, fig3_session):
 
 @pytest.mark.parametrize(
     "topology, connectivity, counters",
-    [("fig3", True, (21, 505)), ("fig4a", True, (11, 244)), ("fig4a", False, (4, 38))],
+    [("fig3", True, (7, 80)), ("fig4a", True, (5, 69)), ("fig4a", False, (4, 38))],
 )
 def test_branching_search_path_is_pinned(request, topology, connectivity, counters):
     # Three LT solves of s -> d1, d2 that branch past the root.  Their
     # (nodes_explored, lp_iterations) read the same whatever the BLAS thread
     # count, so a change to branching, bound patches or the cut separator
-    # that alters the search path shows here.
+    # that alters the search path shows here.  The first two solve the
+    # flow-free LP with lazy rows at every node, the third without them.
     net = request.getfixturevalue(topology)
     model = build_model(net, make_session(net, "s", ["d1", "d2"]), Mode.LT, connectivity)
     rep = solve(model)
@@ -206,8 +207,8 @@ def test_attaching_seed_closes_large_group_at_the_root():
 
 def _branching_model():
     """NSF seed-1 |D|=4 session 3 (source 12, destinations 3, 6, 7, 14) in LT
-    mode: it still branches after the root's cut rounds (9 nodes with BLAS
-    on one thread, 12 with two)."""
+    mode: it still branches after the root's cut rounds (2 nodes with BLAS
+    on one thread or two)."""
     net = builtin_topology("nsf")
     return build_model(net, generate_sessions(net, 4, 4, seed=1)[3], Mode.LT, True)
 
@@ -321,11 +322,12 @@ def test_closing_lh_optimum_builds_no_form_cuts_or_seed(fig5, fig5_session, monk
 
 
 def test_relaxation_that_is_not_optimal_changes_nothing():
-    # NSF seed-1 |D|=4 session 0 branches in LH mode, so one node leaves it
-    # LimitReached, holding a tree of objective 22 above the LT optimum (19).
-    # The LT report, counters included, is the one without a relaxation.
-    net = builtin_topology("nsf")
-    ms = generate_sessions(net, 4, 1, seed=1)[0]
+    # COST239 MC(3,8) seed-1 |D|=6 session 4 branches in LH mode, so one node
+    # leaves it LimitReached, holding a tree of objective 22 above the LT
+    # optimum (19).  The LT report, counters included, is the one without a
+    # relaxation.
+    net = builtin_topology("cost239", splitters=("3", "8"))
+    ms = generate_sessions(net, 6, 5, seed=1)[4]
     lh_model, lt_model = build_model(net, ms, Mode.LH, True), build_model(net, ms, Mode.LT, True)
     lh = solve(lh_model, SolveOptions(node_limit=1))
     assert lh.status is SolveStatus.LIMIT_REACHED and lh.assignment is not None
@@ -385,9 +387,9 @@ def test_deadline_between_cut_rounds_reports_limit(monkeypatch):
 
 
 def test_solve_lp_calls_reconcile_with_cut_rounds(monkeypatch):
-    # The invariants the benchmark's trace run checks: the root's cut rounds
-    # run inside its one solve_lp call, so calls equal nodes_explored and
-    # their pivots sum to lp_iterations.
+    # The invariants the benchmark's trace run checks: each node's lazy rows
+    # are added inside its one solve_lp call, so calls equal nodes_explored
+    # and their pivots sum to lp_iterations.
     calls = []
     solve_lp = solver.solve_lp
 
@@ -403,9 +405,13 @@ def test_solve_lp_calls_reconcile_with_cut_rounds(monkeypatch):
     assert len(calls) == rep.nodes_explored >= 2
     assert sum(pivots for _, _, pivots in calls) == rep.lp_iterations
     rows_in, rows_out, _ = calls[0]
-    assert rows_in == len(model.constraints) < rows_out
-    # children solve the tightened form, and none adds rows
-    assert all(rows == rows_out for call in calls[1:] for rows in call[:2])
+    flow_free = build_model(model.net, model.session, model.mode, connectivity=False)
+    assert rows_in == len(flow_free.rows) < rows_out
+    # every node starts from the form the last one returned, rows are only
+    # ever appended, and children may add rows too: the form never shrinks
+    rows = [r for call in calls for r in call[:2]]
+    assert rows == sorted(rows)
+    assert all(calls[i][1] == calls[i + 1][0] for i in range(len(calls) - 1))
 
 
 def test_no_cuts_without_the_flow_layer(fig5, fig5_session, monkeypatch):
@@ -439,6 +445,8 @@ def test_verbose_logging_goes_to_stderr(fig3, fig3_session, capsys):
     err = capsys.readouterr().err
     assert "node 1:" in err
     assert quiet.objective == loud.objective and quiet.nodes_explored == loud.nodes_explored
+    solve(model, SolveOptions(verbosity=1))
+    assert capsys.readouterr().err == "no-good rows: 0\n"
 
 
 def test_integralize_flows_fig3_exhibit_unique(fig3, fig3_session):
@@ -485,6 +493,33 @@ def test_integralize_flows_rejects_floating_cycle(fig5, fig5_session):
     values[model.by_name["w_0"].index] = 1
     with pytest.raises(FlowIntegralizationError):
         integralize_flows(model, Assignment(values=tuple(values)))
+
+
+def test_nogood_row_cuts_off_a_point_only_the_flow_layer_rejects(fig5, fig5_session):
+    # s -> d1 -> d2 -> d3 on both wavelengths: d3 is a leaf on each, so it
+    # would absorb two units.  Every directed cut and every flow-free row
+    # holds, but no integral flow exists; the no-good row cuts the point off
+    # and holds at the solve's optimum.
+    model = build_model(fig5, fig5_session, Mode.LH, True)
+    lp = build_model(fig5, fig5_session, Mode.LH, False)
+    names = [f"L_{u}_{v}_{lam}" for lam in (0, 1) for u, v in (("s", "d1"), ("d1", "d2"), ("d2", "d3"))]
+    point = np.zeros(len(lp.vars), dtype=int)
+    point[[lp.by_name[name].index for name in names + ["w_0", "w_1"]]] = 1
+    assert len(solver._dicut_separator(lp)(point.astype(float))) == 0
+    assert check_feasible(lp, Assignment(values=tuple(point.tolist()))).ok
+    values = [0] * len(model.vars)
+    for v in lp.vars:
+        values[model.by_name[v.name].index] = int(point[v.index])
+    with pytest.raises(FlowIntegralizationError):
+        integralize_flows(model, Assignment(values=tuple(values)))
+
+    row = solver._nogood(point)
+    assert row.rel.tolist() == [solver.LE] and row.col.tolist() == list(range(len(lp.vars)))
+    assert row.coef @ point > row.rhs[0]
+    rep = solve(model)
+    assert rep.status is SolveStatus.OPTIMAL
+    optimum = np.array([rep.assignment.values[model.by_name[v.name].index] for v in lp.vars])
+    assert row.coef @ optimum <= row.rhs[0]
 
 
 def test_optimum_extraction_validates(fig3, fig4a, fig4b):
@@ -567,3 +602,16 @@ def test_matches_external_milp_solver_on_backbones(mode):
             assert rep.objective == external, (topology, i)
             # cost first, wavelengths second: objective = (|W| + 1) cost + wavelengths
             assert divmod(external, net.wavelengths + 1) == (rep.total_cost, rep.wavelength_count)
+
+
+@pytest.mark.parametrize("session", [0, 5])
+@pytest.mark.parametrize("mode", [Mode.LH, Mode.LT])
+def test_flow_free_lp_closes_large_groups(session, mode):
+    # COST239, |W|=2, |D|=10, generator-seed-3 sessions 0 and 5: with the
+    # flow layer in the LP the cold root stalled into LimitReached; the
+    # flow-free LP with lazy rows closes each at the root, at HiGHS's optimum.
+    net = builtin_topology("cost239")
+    model = build_model(net, generate_sessions(net, 10, 6, seed=3)[session], mode, True)
+    rep = solve(model)
+    assert rep.status is SolveStatus.OPTIMAL
+    assert rep.objective == 31 == _highs_objective(model)
