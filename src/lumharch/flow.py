@@ -58,8 +58,10 @@ def max_flow(
     capacity counts only above ``tol``: integer capacities with ``tol = 0``
     augment exactly, and float capacities take a small positive ``tol``.
     Returns the flow value, the flow on each arc, and per node whether it
-    is reachable from s in the final residual graph; those nodes are the
-    source side of a minimum cut.
+    still reaches t in the final residual graph, found by one reverse
+    breadth-first search from t.  Those nodes are the sink side of the
+    minimum cut nearest t: the arcs entering them from the other nodes
+    form a minimum cut, the back cut.
     """
     # Residual arc 2k is arc k, and 2k + 1 its reverse.
     graph: list[list[int]] = [[] for _ in range(n)]
@@ -85,7 +87,7 @@ def max_flow(
                     parent_arc[v] = pos
                     queue.append(v)
         if parent_arc[t] == -1:
-            return total, cap[1::2], [p != -1 for p in parent_arc]
+            return total, cap[1::2], _reaching(graph, to, cap, t, tol)
         bottleneck = None
         v = t
         while v != s:
@@ -99,6 +101,22 @@ def max_flow(
             cap[pos ^ 1] += bottleneck
             v = to[pos ^ 1]
         total += bottleneck
+
+
+def _reaching(graph: list[list[int]], to: list[int], cap: list[float], t: int, tol: float) -> list[bool]:
+    """Per node whether it reaches t along residual arcs above ``tol``."""
+    reaches = [False] * len(graph)
+    reaches[t] = True
+    queue = deque([t])
+    while queue:
+        v = queue.popleft()
+        for pos in graph[v]:
+            # pos ^ 1 is the residual arc into v from to[pos].
+            u = to[pos]
+            if not reaches[u] and cap[pos ^ 1] > tol:
+                reaches[u] = True
+                queue.append(u)
+    return reaches
 
 
 def service_flow(

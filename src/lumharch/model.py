@@ -176,11 +176,9 @@ class IlpModel:
         return sum(coef * a.values[i] for i, coef in self.objective)
 
     def cost_value(self, a: Assignment) -> int:
-        return sum(
-            self.net.link_cost[(v.tail, v.head)] * a.values[v.index]
-            for v in self.vars
-            if v.kind is VarKind.LIGHT
-        )
+        """The total link cost: exact, as the objective is ``delta`` times it
+        plus the wavelength count."""
+        return (self.objective_value(a) - self.wavelengths_value(a)) // self.delta
 
     def wavelengths_value(self, a: Assignment) -> int:
         return sum(a.values[i] for i in self.wave_index.values())

@@ -23,6 +23,13 @@ directed cuts (Wong 1984; Koch & Martin 1998): per destination d,
 the mesh per wavelength, arc capacities ``x(L_uv_lam)``, a super-source
 on every ``(s, lam)`` and a sink on every ``(d, lam)``) finds a minimum
 cut, and one below 1 becomes the row ``sum of L over the cut >= 1``.
+The max-flow graph holds only the support of the LP point, the arcs with
+``x > FEAS_TOL``, and the cut is the back cut (Koch & Martin 1998): every
+mesh arc, on the support or off it, that enters the nodes still reaching
+the super-sink in the final residual graph, which makes it the minimum
+cut nearest the destination.  A back cut has the value of the minimum
+cut nearest the source, so it is violated exactly when that one is;
+README (Solver notes) gives what it saves in rounds and pivots.
 Every integral point of the full model meets every such cut: on each
 wavelength only the source has a net outflow, so a destination absorbs
 its unit along an ``s -> d`` path of positive flow, hence of used links,
@@ -153,9 +160,10 @@ def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], Rows]:
     """A function from the structural values ``x`` of an LP solution of
     ``model``, the flow-free model the solver's LP is built from, to the
     violated directed cuts, one row ``sum L >= 1`` per destination whose
-    minimum cut is below 1 (identical cuts once).  The cuts hold at every
-    integral point of the same session's model with the flow layer; see
-    the module docstring.
+    minimum cut is below 1 (identical cuts once).  Each is the back cut,
+    the minimum cut nearest the destination, taken on the support of
+    ``x``.  The cuts hold at every integral point of the same session's
+    model with the flow layer; see the module docstring.
 
     Node ``lam * N + i`` of the layered graph is node i on wavelength lam,
     followed by the super-source and the super-sink."""
@@ -174,12 +182,16 @@ def _dicut_separator(model: IlpModel) -> Callable[[np.ndarray], Rows]:
     ]
 
     def violated(x: np.ndarray) -> Rows:
-        mesh = [(tail, head, max(float(x[j]), 0.0)) for tail, head, j in arcs]
+        xs = x.tolist()
+        # max_flow never uses a residual at or below FEAS_TOL, so the arcs
+        # off the support would change neither the flow nor the cut.
+        support = [(tail, head, xs[j]) for tail, head, j in arcs if xs[j] > FEAS_TOL]
         cuts: dict[tuple[int, ...], None] = {}
         for sinks in sink_arcs:
-            _, _, reach = max_flow(snk + 1, mesh + source_arcs + sinks, src, snk, FEAS_TOL)
-            cut = [j for tail, head, j in arcs if reach[tail] and not reach[head]]
-            if sum(x[j] for j in cut) < 1.0 - INT_TOL:
+            value, _, sink_side = max_flow(snk + 1, support + source_arcs + sinks, src, snk, FEAS_TOL)
+            # The flow value is the cut's, up to FEAS_TOL per cut arc.
+            if value < 1.0 - INT_TOL:
+                cut = (j for tail, head, j in arcs if sink_side[head] and not sink_side[tail])
                 cuts[tuple(sorted(cut))] = None
         k = len(cuts)
         return Rows(

@@ -117,32 +117,61 @@ def test_float_max_flow_returns_the_min_cut_arcs():
     # A two-wavelength layered graph with dyadic capacities, so the float
     # arithmetic is exact: super-source 0 feeds the source copies 1 and 2,
     # the sink copies 5 and 6 feed the super-sink 7.  The flow is 0.375;
-    # the residual graph still reaches 3 through 1 -> 3, so the cut is
-    # 1 -> 4 and 3 -> 6 on one wavelength and 2 -> 5 on the other.
+    # 4 still reaches 7 through 4 -> 6, but 3 does not (3 -> 6 is
+    # saturated), so the cut is 1 -> 4 and 3 -> 6 on one wavelength and
+    # 2 -> 5 on the other.
     inf = math.inf
     arcs = [
         (0, 1, inf), (0, 2, inf),
         (1, 3, 0.5), (1, 4, 0.125), (3, 6, 0.125), (4, 6, 1.0),
         (2, 5, 0.125), (5, 7, inf), (6, 7, inf),
     ]
-    value, flow, reach = max_flow(8, arcs, 0, 7, 1e-9)
+    value, flow, sink_side = max_flow(8, arcs, 0, 7, 1e-9)
     assert value == 0.375
     _assert_is_flow(8, arcs, 0, 7, value, flow)
-    assert [i for i in range(8) if reach[i]] == [0, 1, 2, 3]
-    cut = [(u, v) for u, v, _ in arcs if reach[u] and not reach[v]]
+    assert [i for i in range(8) if sink_side[i]] == [4, 5, 6, 7]
+    cut = [(u, v) for u, v, _ in arcs if sink_side[v] and not sink_side[u]]
     assert cut == [(1, 4), (3, 6), (2, 5)]
     assert all(f == c for f, (u, v, c) in zip(flow, arcs) if (u, v) in cut)
     assert sum(c for u, v, c in arcs if (u, v) in cut) == value
 
 
 def test_float_max_flow_counts_residuals_only_above_tol():
-    # 1e-12 of residual capacity on 1 -> 2 is below the tolerance: the arc
-    # counts as saturated and 2 stays on the sink side.
+    # 1e-12 of capacity on 1 -> 2 is below the tolerance: the arc counts
+    # as saturated, nothing flows and 1 does not reach 2.
     arcs = [(0, 1, 1.0), (1, 2, 1e-12)]
-    value, flow, reach = max_flow(3, arcs, 0, 2, 1e-9)
-    assert value == 0 and reach == [True, True, False]
+    value, flow, sink_side = max_flow(3, arcs, 0, 2, 1e-9)
+    assert value == 0 and sink_side == [False, False, True]
     _assert_is_flow(3, arcs, 0, 2, value, flow)
     arcs = [(0, 1, 3), (1, 2, 2)]
-    value, flow, reach = max_flow(3, arcs, 0, 2)
-    assert (value, reach) == (2, [True, True, False])
+    value, flow, sink_side = max_flow(3, arcs, 0, 2)
+    assert (value, sink_side) == (2, [False, False, True])
     _assert_is_flow(3, arcs, 0, 2, value, flow)
+
+
+def _source_side(n, arcs, flow, s, tol):
+    """The nodes s reaches in the residual graph of ``flow``."""
+    seen, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for (a, b, c), f in zip(arcs, flow):
+            for tail, head, residual in ((a, b, c - f), (b, a, f)):
+                if tail == u and head not in seen and residual > tol:
+                    seen.add(head)
+                    stack.append(head)
+    return [v in seen for v in range(n)]
+
+
+def test_max_flow_returns_the_cut_nearest_the_sink():
+    # s -> a -> b at capacity 0.5 each: both arcs are minimum cuts.  The
+    # one nearest the source is {s -> a}, the one max_flow's sink side
+    # gives, nearest the sink, is {a -> b}.
+    arcs = [(0, 1, 0.5), (1, 2, 0.5)]
+    value, flow, sink_side = max_flow(3, arcs, 0, 2, 1e-9)
+    assert value == 0.5 and sink_side == [False, False, True]
+    _assert_is_flow(3, arcs, 0, 2, value, flow)
+    source_side = _source_side(3, arcs, flow, 0, 1e-9)
+    assert source_side == [True, False, False]
+    front = [(u, v) for u, v, _ in arcs if source_side[u] and not source_side[v]]
+    back = [(u, v) for u, v, _ in arcs if sink_side[v] and not sink_side[u]]
+    assert (front, back) == ([(0, 1)], [(1, 2)])

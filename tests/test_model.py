@@ -445,6 +445,40 @@ def test_objective_is_lexicographic(fig3, fig3_session):
             assert (scalar > 0) == (lex > 0) and (scalar < 0) == (lex < 0)
 
 
+def test_cost_value_matches_the_per_link_sum(fig3, fig3_session, fig5, fig5_session):
+    # cost_value reads the cost off the objective; it must equal the sum of
+    # link cost times L over every light column, at optima, greedy seeds and
+    # random integer points (out-of-bounds values included), on fig3, fig5
+    # and the networks and sessions of the benchmark workloads.
+    nsf, cost239 = builtin_topology("nsf"), builtin_topology("cost239", splitters=("3", "8"))
+    solved = [(fig3, fig3_session), (fig5, fig5_session)]
+    cases = solved + [(nsf, ms) for ms in generate_sessions(nsf, 3, 5, seed=1)[3:]]
+    cases += [(nsf, ms) for seed in (1, 7) for ms in generate_sessions(nsf, 1, 4, seed)]
+    cases += [(cost239, ms) for ms in generate_sessions(cost239, 3, 12, seed=1)]
+    rng = random.Random(29)
+    checked = 0
+    for net, ms in cases:
+        for mode in (Mode.LH, Mode.LT):
+            for conn in (True, False):
+                model = build_model(net, ms, mode, conn)
+                points = [solver._greedy_incumbent(model)]
+                if (net, ms) in solved:
+                    points.append(solve(model).assignment)
+                points += [
+                    Assignment(values=tuple(rng.randint(v.lower - 1, v.upper + 1) for v in model.vars))
+                    for _ in range(3)
+                ]
+                for a in filter(None, points):
+                    per_link = sum(
+                        net.link_cost[(v.tail, v.head)] * a.values[v.index]
+                        for v in model.vars
+                        if v.kind is VarKind.LIGHT
+                    )
+                    assert model.cost_value(a) == per_link
+                    checked += 1
+    assert checked >= 300
+
+
 def test_flow_light_coupling_at_optimum(fig3, fig3_session):
     model = build_model(fig3, fig3_session, Mode.LH, True)
     rep = solve(model)

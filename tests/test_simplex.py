@@ -432,11 +432,12 @@ def test_warm_start_on_infeasible_child_falls_back_to_cold(monkeypatch):
 
 
 def _assert_root_pivots(net, index, value, pivots):
-    """The cold root LP of seed-1 |D|=3 session ``index`` takes exactly
-    ``pivots[mode]`` pivots and agrees with HiGHS on ``value``."""
+    """The cold root LP of seed-1 |D|=3 session ``index``, on the flow-free
+    form the solver starts from, takes exactly ``pivots[mode]`` pivots and
+    agrees with HiGHS on ``value``."""
     session = generate_sessions(net, 3, index + 1, seed=1)[index]
     for mode in (Mode.LH, Mode.LT):
-        form = _standard_form(build_model(net, session, mode, True))
+        form = _standard_form(build_model(net, session, mode, False))
         root = solve_lp(form)
         ref = linprog(form.c, A_eq=_dense(form), b_eq=form.b, bounds=list(zip(form.lower, form.upper)), method="highs")
         assert root.status == "optimal" and ref.status == 0
@@ -453,13 +454,13 @@ def test_root_pivots_on_nsf_deep_session():
     # NSF seed-1 |D|=3 sessions 3 and 4 are the sessions of the deep NSF
     # benchmark workload.
     net = builtin_topology("nsf")
-    _assert_root_pivots(net, 3, 50 / 3, {Mode.LH: 100, Mode.LT: 99})
-    _assert_root_pivots(net, 4, 15.5, {Mode.LH: 88, Mode.LT: 88})
+    _assert_root_pivots(net, 3, 13.0, {Mode.LH: 20, Mode.LT: 20})
+    _assert_root_pivots(net, 4, 15.5, {Mode.LH: 27, Mode.LT: 27})
 
 
 def test_root_pivots_on_cost239_session():
     net = builtin_topology("cost239", splitters=("3", "8"))
-    _assert_root_pivots(net, 0, 12.0, {Mode.LH: 113, Mode.LT: 113})
+    _assert_root_pivots(net, 0, 10.0, {Mode.LH: 22, Mode.LT: 22})
 
 
 def test_cold_weights_equal_fresh_row_norms(monkeypatch):
@@ -584,15 +585,22 @@ def test_warm_attempts_make_no_tableau_pivots(monkeypatch):
         return sol
 
     monkeypatch.setattr(simplex, "_run", recorded_run)
-    # NSF seed-1 |D|=4 session 3 in LT mode makes 34-36 warm attempts (cut
-    # rounds and children; 36 with BLAS on one thread, 34 with two).
+    # NSF seed-1 |D|=4 session 3 and |D|=3 session 7 in LT mode make 9 and
+    # 10 warm attempts with BLAS on one thread (cut rounds and children; 2
+    # and 5 nodes).
     net = builtin_topology("nsf")
-    session = generate_sessions(net, 4, 4, seed=1)[3]
-    report = solve(build_model(net, session, Mode.LT, True))
-    assert report.status == SolveStatus.OPTIMAL
-    warm_pivots = [pivots for _, pivots in attempts]
-    assert len(warm_pivots) >= 10 and sum(warm_pivots) > 0
-    assert sum(warm_pivots) + sum(cold_pivots) == report.lp_iterations
+    warm_attempts = 0
+    for size, index in ((4, 3), (3, 7)):
+        session = generate_sessions(net, size, index + 1, seed=1)[index]
+        attempts.clear()
+        cold_pivots.clear()
+        report = solve(build_model(net, session, Mode.LT, True))
+        assert report.status == SolveStatus.OPTIMAL and report.nodes_explored >= 2
+        warm_pivots = [pivots for _, pivots in attempts]
+        assert sum(warm_pivots) > 0
+        assert sum(warm_pivots) + sum(cold_pivots) == report.lp_iterations
+        warm_attempts += len(warm_pivots)
+    assert warm_attempts >= 10
 
 
 def test_singular_structural_block_falls_back_to_cold(monkeypatch):

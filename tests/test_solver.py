@@ -132,7 +132,7 @@ def test_determinism_including_counters(fig3, fig3_session):
 
 @pytest.mark.parametrize(
     "topology, connectivity, counters",
-    [("fig3", True, (7, 80)), ("fig4a", True, (5, 69)), ("fig4a", False, (4, 38))],
+    [("fig3", True, (7, 100)), ("fig4a", True, (5, 91)), ("fig4a", False, (4, 38))],
 )
 def test_branching_search_path_is_pinned(request, topology, connectivity, counters):
     # Three LT solves of s -> d1, d2 that branch past the root.  Their
@@ -426,6 +426,69 @@ def test_no_cuts_without_the_flow_layer(fig5, fig5_session, monkeypatch):
     assert built == []
     _, rep = solve_session(fig5, fig5_session, Mode.LH, connectivity=True)
     assert rep.total_cost == 5 and len(built) == 1
+
+
+def _separated(net, source, links):
+    """The nodes that ``source`` cannot reach on any wavelength once the
+    links ``(u, v, lam)`` are removed from the mesh."""
+    cut_off = set(net.index)
+    for lam in range(net.wavelengths):
+        seen, stack = {source}, [source]
+        while stack:
+            u = stack.pop()
+            for a, b in net.directed_links:
+                if a == u and b not in seen and (a, b, lam) not in links:
+                    seen.add(b)
+                    stack.append(b)
+        cut_off -= seen
+    return cut_off
+
+
+def test_back_cuts_separate_the_source_from_a_destination(fig3, fig3_session, fig5, fig5_session):
+    # Every row the separator returns in the root rounds, run without an
+    # incumbent to stop them, is sum L >= 1 over a set of links whose
+    # removal cuts some destination off the source on every wavelength.
+    nsf = builtin_topology("nsf")
+    cost239 = builtin_topology("cost239", splitters=("3", "8"))
+    cases = [(fig3, fig3_session), (fig5, fig5_session)]
+    cases += [(nsf, ms) for ms in generate_sessions(nsf, 3, 5, seed=1)[3:]]
+    cases += [(cost239, ms) for ms in generate_sessions(cost239, 3, 2, seed=1)]
+    checked = 0
+    for net, ms in cases:
+        for mode in (Mode.LH, Mode.LT):
+            lp = build_model(net, ms, mode, connectivity=False)
+            separator = solver._dicut_separator(lp)
+
+            def separate(sol):
+                nonlocal checked
+                rows = separator(sol.x)
+                for i in range(len(rows)):
+                    on = rows.row == i
+                    assert rows.rel[i] == solver.GE and rows.rhs[i] == 1.0
+                    assert rows.coef[on].tolist() == [1.0] * int(on.sum())
+                    links = {(v.tail, v.head, v.wavelength) for v in map(lp.vars.__getitem__, rows.col[on])}
+                    assert _separated(net, ms.source, links) & ms.destinations, (ms, links)
+                    assert sol.x[rows.col[on]].sum() < 1.0
+                checked += len(rows)
+                return rows
+
+            assert solver.solve_lp(solver._standard_form(lp), separate=separate).status == "optimal"
+    assert checked >= 40
+
+
+def test_back_cuts_end_the_cut_round_stall():
+    # NSF |W|=3 |D|=8, generator-seed-3 session 5 (source 10): with the
+    # minimum cut nearest the source, the LT rounds after the LH handoff
+    # grew a form whose cold re-solve hit the pivot cap, and the solve ended
+    # LimitReached.  With back cuts both modes end Optimal at HiGHS's 41.
+    net = builtin_topology("nsf", wavelengths=3)
+    ms = generate_sessions(net, 8, 6, seed=3)[5]
+    assert ms.source == "10"
+    lh = build_model(net, ms, Mode.LH, True)
+    lh_rep = solve(lh)
+    lt_rep = solve(build_model(net, ms, Mode.LT, True), SolveOptions(relaxation=(lh, lh_rep)))
+    assert (lh_rep.status, lh_rep.objective) == (SolveStatus.OPTIMAL, 41)
+    assert (lt_rep.status, lt_rep.objective) == (SolveStatus.OPTIMAL, 41)
 
 
 def test_dicuts_leave_the_model_and_its_lp_text_unchanged():
