@@ -108,24 +108,19 @@ CSV_HEADER = "session_id,source,destinations,mode,cost,wavelengths,cps_used,solv
 
 
 def _load_topology(name_or_path: str, splitters: tuple[str, ...], wavelengths: int | None) -> Network:
-    overrides = {}
+    overrides = {} if wavelengths is None else {"wavelengths": wavelengths}
     if name_or_path.lower() in BUILTIN_TOPOLOGIES:
-        # Splitters go through builtin_topology, so each load of the same
-        # builtin returns the one network (and its model templates).
-        net = builtin_topology(name_or_path, splitters=splitters or None)
-    else:
-        path = Path(name_or_path)
-        if not path.exists():
-            raise ValueError(
-                f"topology {name_or_path!r} is neither a builtin ({', '.join(BUILTIN_TOPOLOGIES)}) nor a file"
-            )
-        net = parse_network(path.read_text(encoding="utf-8"))
-        if splitters:
-            overrides["splitters"] = splitters
-    if wavelengths is not None:
-        overrides["wavelengths"] = wavelengths
-    if overrides:
-        net = net.with_overrides(**overrides)
+        # Splitters and |W| go through builtin_topology, so each load of the
+        # same builtin returns the one network (and its model templates).
+        return builtin_topology(name_or_path, splitters=splitters or None, **overrides)
+    path = Path(name_or_path)
+    if not path.exists():
+        raise ValueError(
+            f"topology {name_or_path!r} is neither a builtin ({', '.join(BUILTIN_TOPOLOGIES)}) nor a file"
+        )
+    net = parse_network(path.read_text(encoding="utf-8"))
+    if splitters or overrides:
+        net = net.with_overrides(splitters=splitters or None, **overrides)
     return net
 
 

@@ -340,6 +340,8 @@ def builtin_topology(
     key = name.lower()
     if key not in BUILTIN_TOPOLOGIES:
         raise ValueError(f"unknown topology {name!r} (expected one of {', '.join(BUILTIN_TOPOLOGIES)})")
+    if wavelengths < 1:
+        raise ValueError("wavelength count must be positive")
     return _builtin_topology(key, tuple(splitters) if splitters else None, wavelengths)
 
 

@@ -66,19 +66,20 @@ so the seed branches and crosses MI nodes as light-hierarchies do.  Its
 objective is the first pruning bound, so a tight seed both ends each
 node's separation rounds sooner and leaves fewer children to solve.
 
-Every candidate incumbent, the greedy seed, an LH optimum handed over
-as a relaxation (below) and each integral LP point alike, passes one
-gate, :func:`_checked`: its flows are integralized and the whole
-assignment is checked against the model.  A seed that fails is no seed;
-an LP point that fails gets a no-good row or ends the solve, as above.
-Every returned assignment has therefore passed :func:`check_feasible`.
+Every candidate incumbent of a search, the greedy seed and each integral
+LP point alike, passes one gate, :func:`_checked`: its flows are
+integralized and the whole assignment is checked against the model.  A
+seed that fails is no seed; an LP point that fails gets a no-good row or
+ends the solve, as above, and one that passes becomes the incumbent.
 
-A solve may be handed the solved LH model of the same session
-(``SolveOptions.relaxation``).  Every light-tree is a light-hierarchy, so
-an Optimal LH objective is a floor under every bound the search prunes
-on, and an LH optimum that passes :func:`_checked` against the model
-ends the solve at once: 0 nodes, 0 pivots, and no standard form, cut
-separator or greedy seed built.
+A solve may be handed the solved LH model of the same session and the
+report :func:`solve` returned for it (``SolveOptions.relaxation``).
+Every light-tree is a light-hierarchy, so an Optimal LH objective is a
+floor under every bound the search prunes on, and an LH optimum that
+passes :func:`check_feasible` against the model ends the solve at once:
+its report is the LH one with 0 nodes and 0 pivots, and nothing is built
+or certified again.  Every returned assignment has therefore passed
+:func:`check_feasible` on its own model.
 
 A single solve is single-threaded and deterministic, counters included,
 when BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): OpenBLAS
@@ -96,7 +97,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -221,9 +222,8 @@ def integralize_flows(model: IlpModel, a: Assignment) -> Assignment:
     if flows is None:
         raise FlowIntegralizationError("link pattern admits no integral flow")
     values = list(a.values)
-    for v in model.vars:
-        if v.kind is VarKind.FLOW:
-            values[v.index] = flows.get((v.tail, v.head, v.wavelength), 0)
+    for key, j in model.columns.flow_index.items():
+        values[j] = flows.get(key, 0)
     return Assignment(values=tuple(values))
 
 
@@ -329,14 +329,17 @@ def _greedy_incumbent(model: IlpModel) -> Assignment | None:
         return None
 
 
-def _relaxation_start(model: IlpModel, relaxation: tuple[IlpModel, SolveReport]) -> tuple[float, Assignment | None]:
-    """The floor an LH relaxation puts under ``model``'s optimum, and its
-    optimum when that passes :func:`_checked` against ``model``.
+def _relaxation_start(model: IlpModel, relaxation: tuple[IlpModel, SolveReport]) -> tuple[float, SolveReport | None]:
+    """The floor an LH relaxation puts under ``model``'s optimum, and the
+    LH report, with no nodes or pivots, when :func:`check_feasible`
+    accepts its optimum against ``model``.
 
-    The LT model is the LH model (same variables, objective and rows) plus
+    The LT model is the LH model (same columns, objective and rows) plus
     the ``tree_in``/``tree_out`` rows, so the LH optimum bounds it from
-    below, and an LH optimum the LT model accepts is optimal for it.  A
-    relaxation that is not Optimal gives neither: ``(-inf, None)``.
+    below, and an LH optimum the LT model accepts is optimal for it.  Its
+    flows, structures and objective terms read only the shared columns and
+    the session, so the LH report holds them already.  A relaxation that
+    is not Optimal gives neither: ``(-inf, None)``.
     """
     lh_model, lh_report = relaxation
     if not (
@@ -348,10 +351,9 @@ def _relaxation_start(model: IlpModel, relaxation: tuple[IlpModel, SolveReport])
         raise ValueError("relaxation must be the LH model of the same network, session and connectivity")
     if lh_report.status is not SolveStatus.OPTIMAL:
         return -math.inf, None
-    try:
-        return lh_report.objective, _checked(model, list(lh_report.assignment.values))
-    except FlowIntegralizationError:
+    if not check_feasible(model, lh_report.assignment).ok:
         return lh_report.objective, None
+    return lh_report.objective, replace(lh_report, nodes_explored=0, lp_iterations=0)
 
 
 def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
@@ -359,9 +361,9 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     opts = opts or SolveOptions()
     floor = -math.inf
     if opts.relaxation is not None:
-        floor, optimum = _relaxation_start(model, opts.relaxation)
-        if optimum is not None:
-            return _report(model, SolveStatus.OPTIMAL, optimum, 0, 0)
+        floor, closed = _relaxation_start(model, opts.relaxation)
+        if closed is not None:
+            return closed
     # The LP's column j is the model's column columns[j]: its L and w columns.
     flow_free = build_model(model.net, model.session, model.mode, False) if model.connectivity else model
     columns = np.array([v.index for v in model.vars if v.kind is not VarKind.FLOW])
@@ -386,7 +388,6 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
         (-math.inf, next(counter), {}, None)
     ]
     stopped_early = False
-    accepted: Assignment | None = None  # the node's integral point, checked
 
     def pruned(bound: float) -> bool:
         """Whether no integral point of LP bound ``bound`` (or of the floor)
@@ -399,8 +400,8 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
     def separate(sol: LpSolution) -> Rows:
         """The node's next lazy rows: violated directed cuts, else a no-good
         row for an integral point the full model rejects; none when a stop
-        rule holds or the point is fractional or accepted."""
-        nonlocal stopped_early, numerical_trouble, nogoods, accepted
+        rule holds or the point is fractional or accepted (the incumbent)."""
+        nonlocal stopped_early, numerical_trouble, nogoods, incumbent, incumbent_obj
         if pruned(sol.value):
             return []
         if deadline is not None and time.monotonic() > deadline:
@@ -419,7 +420,12 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
                 nogoods += 1
                 return _nogood(point)
             accepted = None
-        numerical_trouble |= accepted is None
+        if accepted is None:
+            numerical_trouble = True
+        else:
+            obj = model.objective_value(accepted)
+            if incumbent_obj is None or obj < incumbent_obj:
+                incumbent, incumbent_obj = accepted, obj
         return []
 
     while heap:
@@ -434,7 +440,6 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
             break
 
         nodes_explored += 1
-        accepted = None
         try:
             sol = solve_lp(form, patch, warm=warm, separate=separate)
         except SimplexError:
@@ -453,13 +458,8 @@ def solve(model: IlpModel, opts: SolveOptions | None = None) -> SolveReport:
 
         k = _most_fractional(sol.x)
         if k is None:
-            # Checked by separate(): accepted, or numerical trouble, or the
-            # deadline passed before the check.
-            if accepted is not None:
-                obj = model.objective_value(accepted)
-                if incumbent_obj is None or obj < incumbent_obj:
-                    incumbent = accepted
-                    incumbent_obj = obj
+            # Checked by separate(): the incumbent now, or numerical trouble,
+            # or the deadline passed before the check.
             continue
 
         for fixed in (1.0, 0.0):

@@ -244,6 +244,7 @@ def test_builtin_loads_share_one_network():
     assert {n for n, kind in net.nodes if kind is NodeKind.MC} == {"3", "8"}
     assert _load_topology("nsf", (), None) is _load_topology("nsf", (), None)
     assert _load_topology("nsf", (), 3).wavelengths == 3
+    assert _load_topology("nsf", (), 3) is _load_topology("NSF", (), 3) is builtin_topology("nsf", wavelengths=3)
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -275,6 +276,8 @@ def test_usage_error_exit_code(capsys):
 def test_input_validation_exit_code(tmp_path, capsys):
     assert run_cli("solve", "--topology", "nosuch", "--source", "s", "--dest", "d") == 2
     assert run_cli("solve", "--topology", "fig3", "--source", "zz", "--dest", "d1") == 2
+    assert run_cli("solve", "--topology", "fig3", "--wavelengths", "0", "--source", "s", "--dest", "d1") == 2
+    assert "error: wavelength count must be positive" in capsys.readouterr().err
     csv = tmp_path / "out.csv"
     assert run_cli("batch", "--topology", "fig3", "--group-size", "2", "--modes", ",", "--csv", str(csv)) == 2
     assert "error: no modes requested" in capsys.readouterr().err

@@ -103,6 +103,12 @@ def test_equal_builtin_loads_return_one_network():
     assert builtin_topology("nsf") is builtin_topology("nsf", splitters=())
 
 
+def test_builtin_rejects_a_wavelength_count_below_one():
+    for wavelengths in (0, -1):
+        with pytest.raises(ValueError, match="wavelength count must be positive"):
+            builtin_topology("nsf", wavelengths=wavelengths)
+
+
 def test_degree_trivial_and_unknown(fig3):
     two = parse_network(MINIMAL)
     assert two.degree("s") == two.degree("d") == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import time
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,8 @@ def test_lh_relaxation_closes_lt_exactly_when_its_optimum_is_a_tree():
         assert check_feasible(lt_model, rep.assignment).ok and validate(net, rep.structures).ok, key
         is_tree = check_feasible(lt_model, lh.assignment).ok
         assert (rep.nodes_explored == rep.lp_iterations == 0) is is_tree, key
+        if is_tree:  # the LH report itself, certified once
+            assert rep == replace(lh, nodes_explored=0, lp_iterations=0), key
         closed += is_tree
     assert closed == 12  # all but fig3 and NSF session 3
 
@@ -311,14 +314,19 @@ def test_lh_floor_ends_lt_once_an_incumbent_meets_it():
 
 
 def test_closing_lh_optimum_builds_no_form_cuts_or_seed(fig5, fig5_session, monkeypatch):
+    # A closed solve checks the LH optimum against the LT rows and reuses
+    # the LH report: no flows, structures or validation are redone.
     lh_model = build_model(fig5, fig5_session, Mode.LH, True)
-    relaxation = (lh_model, solve(lh_model))
-    for name in ("_standard_form", "_dicut_separator", "_greedy_incumbent"):
-        monkeypatch.setattr(solver, name, lambda model: pytest.fail("built for a closed solve"))
+    lh = solve(lh_model)
     lt_model = build_model(fig5, fig5_session, Mode.LT, True)
-    rep = solve(lt_model, SolveOptions(relaxation=relaxation))
+    structures = extract_structures(lt_model, lh.assignment)
+    for name in ("_standard_form", "_dicut_separator", "_greedy_incumbent", "integralize_flows", "extract_structures"):
+        monkeypatch.setattr(solver, name, lambda *args: pytest.fail("called for a closed solve"))
+    monkeypatch.setattr(solver.hierarchy, "validate", lambda *args: pytest.fail("called for a closed solve"))
+    rep = solve(lt_model, SolveOptions(relaxation=(lh_model, lh)))
     assert (rep.status, rep.nodes_explored, rep.lp_iterations) == (SolveStatus.OPTIMAL, 0, 0)
-    assert rep.structures == extract_structures(lt_model, rep.assignment)
+    assert rep == replace(lh, nodes_explored=0, lp_iterations=0)
+    assert rep.structures == structures
 
 
 def test_relaxation_that_is_not_optimal_changes_nothing():
